@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
-#include "blockmodel/dense_matrix.hpp"
 #include "blockmodel/mdl.hpp"
 #include "blockmodel/merge_delta.hpp"
 #include "blockmodel/vertex_move_delta.hpp"
@@ -401,10 +400,8 @@ void BM_AsyncGibbsPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncGibbsPhase)->Arg(2)->Arg(8);
 
-// ---- sparse vs dense backend (paper future work: reconstruction-
-// friendly data structures). The dense backend's add() is a single
-// indexed store; the sparse one hashes twice. The crossover argument:
-// dense wins once C is small enough for C² cells to fit caches.
+// ---- sparse matrix fill: 20000 unit add()s into the row+column
+// (transpose) storage at three block counts.
 
 void BM_SparseMatrixFill(benchmark::State& state) {
   const auto blocks = static_cast<BlockId>(state.range(0));
@@ -423,23 +420,5 @@ void BM_SparseMatrixFill(benchmark::State& state) {
                           static_cast<std::int64_t>(cells.size()));
 }
 BENCHMARK(BM_SparseMatrixFill)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_DenseMatrixFill(benchmark::State& state) {
-  const auto blocks = static_cast<BlockId>(state.range(0));
-  hsbp::util::Rng rng(7);
-  std::vector<std::pair<BlockId, BlockId>> cells(20000);
-  for (auto& [r, c] : cells) {
-    r = static_cast<BlockId>(rng.uniform_int(static_cast<std::uint64_t>(blocks)));
-    c = static_cast<BlockId>(rng.uniform_int(static_cast<std::uint64_t>(blocks)));
-  }
-  for (auto _ : state) {
-    hsbp::blockmodel::DenseMatrix m(blocks);
-    for (const auto& [r, c] : cells) m.add(r, c, 1);
-    benchmark::DoNotOptimize(m.total());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cells.size()));
-}
-BENCHMARK(BM_DenseMatrixFill)->Arg(16)->Arg(128)->Arg(1024);
 
 }  // namespace

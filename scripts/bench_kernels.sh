@@ -163,7 +163,7 @@ for name, times in runs.items():
     noise[name] = (max(times) - min(times)) / min(times) * 100.0
 
 before = {}
-carried = {}  # hand-maintained keys (e.g. "end_to_end") survive rewrites
+carried = {}  # hand-maintained keys survive rewrites
 before_src = os.environ.get("HSBP_BENCH_BEFORE", "")
 generated = ("commit", "min_time_s", "repetitions", "baseline", "kernels",
              "fig7", "ooc")

@@ -90,7 +90,9 @@ fi
 # vector level the host supports (DESIGN §13). The suites also force
 # levels internally via set_level(); running them under both env
 # overrides additionally proves the HSBP_SIMD startup plumbing resolves
-# and clamps correctly on this host.
+# and clamps correctly on this host. The whole-chain equivalence and
+# Hastings-bound suites run under both levels too: early rejection
+# (DESIGN §10) compares its bound against the SIMD-reduced correction.
 if [[ "${HSBP_SKIP_SIMD:-0}" != "1" ]]; then
   # "avx2" is a request for the highest level; on hosts without AVX2 the
   # dispatcher clamps it down to the best supported vector path (with a
@@ -99,6 +101,8 @@ if [[ "${HSBP_SKIP_SIMD:-0}" != "1" ]]; then
     echo "== kernel bit-identity under HSBP_SIMD=$simd_level =="
     HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_blockmodel" \
       --gtest_filter='XlogxTable.*:*KernelEquivalence*:Simd*:*SimdKernel*'
+    HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_sbp" \
+      --gtest_filter='*ChainEquivalence*:*HastingsBound*'
   done
 fi
 

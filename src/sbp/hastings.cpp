@@ -1,7 +1,9 @@
 #include "sbp/hastings.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <limits>
 
 #include "util/simd.hpp"
 
@@ -197,6 +199,23 @@ double hastings_correction(const Blockmodel& b, BlockId from, BlockId to,
                               batch.bwd_den.data(), n, &forward, &backward);
   if (forward <= 0.0) return 1.0;  // isolated vertex: symmetric proposal
   return backward / forward;
+}
+
+double hastings_bound(const Blockmodel& b, graph::EdgeCount num_edges,
+                      BlockId from, Count mover_degree) {
+  // The bound holds for the exact correction, but the one compared
+  // against it is computed: at most 2C ≤ 2^32 terms, each rounded
+  // twice and passed through ≤ 2^30 + 2 lane additions, then one
+  // division — less than 2^-21 above the exact value. The 2^-20 slack
+  // also covers the roundings below.
+  constexpr double kSlack = 1.0 + 0x1p-20;
+  const double c = static_cast<double>(b.num_blocks());
+  const Count d_from = b.degree_total(from);
+  const double from_den = static_cast<double>(d_from - mover_degree) + c;
+  if (from_den <= 0.0) return std::numeric_limits<double>::infinity();
+  const double from_ratio =
+      std::max(1.0, (static_cast<double>(d_from) + 1.0) / from_den);
+  return (2.0 * static_cast<double>(num_edges) + c) * from_ratio * kSlack;
 }
 
 }  // namespace hsbp::sbp

@@ -40,4 +40,17 @@ double hastings_correction(const blockmodel::Blockmodel& b,
                            blockmodel::BlockId from, blockmodel::BlockId to,
                            blockmodel::MoveScratch& scratch);
 
+/// O(1) upper bound Ĥ on hastings_correction() for a move of a vertex
+/// with total degree `mover_degree` out of block `from`, to any block
+/// (DESIGN §10, "Early rejection"). `num_edges` is E of the graph `b`
+/// was built from, and the vertex's neighbor counts may be gathered
+/// under a staler or fresher assignment than b's (A-SBP). Each forward
+/// term is ≥ k_t/(2E + C) and each backward term ≤ k_t, except the
+/// t = from term, ≤ k_t·(d_from + 1)/(d_from − mover_degree + C); the
+/// bound is (2E + C)·max(1, that ratio), widened to cover rounding.
+/// Returns +infinity when that denominator is ≤ 0 (no finite bound).
+double hastings_bound(const blockmodel::Blockmodel& b,
+                      graph::EdgeCount num_edges, blockmodel::BlockId from,
+                      blockmodel::Count mover_degree);
+
 }  // namespace hsbp::sbp

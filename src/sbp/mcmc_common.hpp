@@ -56,6 +56,12 @@ struct McmcPhaseStats {
 ///
 /// `can_empty_block(from)` guard: moves that would empty their source
 /// block are rejected (the block count is owned by the merge phase).
+///
+/// Early rejection (DESIGN §10): the move is accepted with probability
+/// min(1, L·H), L = e^{−βΔMDL}. When L·Ĥ < 1 for the O(1) bound Ĥ ≥ H
+/// of hastings_bound(), L·H < 1 too, so the uniform draw is certain to
+/// be made; it is made first, and H is computed only if the draw falls
+/// below L·Ĥ. Decisions and RNG consumption equal the plain rule's.
 template <typename View>
 VertexOutcome evaluate_vertex(const graph::GraphView& graph,
                               const blockmodel::Blockmodel& b,
@@ -73,10 +79,21 @@ VertexOutcome evaluate_vertex(const graph::GraphView& graph,
   if (to == from) return outcome;
 
   blockmodel::vertex_move_delta_into(b, from, to, scratch.nb, scratch);
-  const double correction = hastings_correction(b, from, to, scratch);
-  const double acceptance =
-      std::exp(-beta * scratch.delta.delta_mdl) * correction;
-  if (acceptance >= 1.0 || rng.uniform() < acceptance) {
+  const double mdl_ratio = std::exp(-beta * scratch.delta.delta_mdl);
+  const double bound =
+      mdl_ratio * hastings_bound(b, graph.num_edges(), from,
+                                 scratch.nb.degree_total());
+  bool accept;
+  if (bound < 1.0) {  // false for NaN: those take the plain rule below
+    const double u = rng.uniform();
+    accept = u < bound &&
+             u < mdl_ratio * hastings_correction(b, from, to, scratch);
+  } else {
+    const double acceptance =
+        mdl_ratio * hastings_correction(b, from, to, scratch);
+    accept = acceptance >= 1.0 || rng.uniform() < acceptance;
+  }
+  if (accept) {
     outcome.moved = true;
     outcome.to = to;
     outcome.delta_mdl = scratch.delta.delta_mdl;

@@ -49,10 +49,12 @@ using blockmodel::Count;
 using blockmodel::MoveDelta;
 using blockmodel::NeighborBlockCounts;
 
-/// Pre-table xlogx: live std::log on every call.
+/// Pre-table xlogx: live std::log on every call. A negative count,
+/// which a stale A-SBP view can stage (DESIGN §13), gives NaN like
+/// xlogx_count's live fallback, so a chain fed stale views rejects
+/// such a move just as the optimized kernels do.
 inline double xlogx(double x) noexcept {
-  assert(x >= 0.0);
-  return x > 0.0 ? x * std::log(x) : 0.0;
+  return x == 0.0 ? 0.0 : x * std::log(x);
 }
 
 /// Pre-arena gather: fresh vectors per call, O(k) linear scan per

@@ -38,6 +38,7 @@ graph::Graph community_graph(std::uint64_t seed = 5) {
 OocConfig test_config() {
   OocConfig config;
   config.base.seed = 42;
+  config.base.num_threads = 1;  // fixed thread count: the determinism contract
   config.base.variant = sbp::Variant::Hybrid;
   config.sampler = sample::SamplerKind::DegreeWeighted;
   config.skeleton_fraction = 0.3;

@@ -116,6 +116,7 @@ TEST(SamplePipeline, HalfSampleKeepsNinetyPercentOfFullQuality) {
   sbp::SbpConfig full_config;
   full_config.variant = sbp::Variant::Hybrid;
   full_config.seed = 7;
+  full_config.num_threads = 1;  // fixed thread count: the determinism contract
   const auto full = sbp::run(g.graph, full_config);
   const double full_nmi = metrics::nmi(g.ground_truth, full.assignment);
 
