@@ -46,8 +46,10 @@ struct Fixture {
   hsbp::generator::GeneratedGraph generated;
   Blockmodel blockmodel;
 
+  /// A planted DCSBM graph under its planted partition, each community
+  /// split `split` ways (vertex id mod split) into blocks.
   explicit Fixture(Vertex vertices, std::int32_t communities,
-                   hsbp::graph::EdgeCount edges) {
+                   hsbp::graph::EdgeCount edges, std::int32_t split = 1) {
     hsbp::generator::DcsbmParams params;
     params.num_vertices = vertices;
     params.num_communities = communities;
@@ -55,14 +57,37 @@ struct Fixture {
     params.ratio_within_between = 3.0;
     params.seed = 1234;
     generated = hsbp::generator::generate_dcsbm(params);
-    blockmodel = Blockmodel::from_assignment(
-        generated.graph, generated.ground_truth, communities);
+    std::vector<std::int32_t> labels = generated.ground_truth;
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      labels[v] = labels[v] * split + static_cast<std::int32_t>(
+                                          v % static_cast<std::size_t>(split));
+    }
+    blockmodel = Blockmodel::from_assignment(generated.graph, labels,
+                                             communities * split);
   }
 };
 
 Fixture& fixture() {
   static Fixture f(2000, 16, 20000);
   return f;
+}
+
+/// The fixture refined to C = 256. On the detect benchmark graphs H-SBP
+/// spends three quarters of its MCMC time at C ≥ 64, most of it in the
+/// C ≈ 125 and C ≈ 250 phases. At C = 16 every slice probe hits L1 and
+/// costs about what a dense load does, so only the C256 kernels show
+/// what a cell lookup costs.
+Fixture& fixture_c256() {
+  static Fixture f(2000, 16, 20000, 16);
+  return f;
+}
+
+/// A uniform block other than `from`.
+BlockId other_block(const Blockmodel& b, BlockId from, hsbp::util::Rng& rng) {
+  const auto blocks = static_cast<std::uint64_t>(b.num_blocks());
+  return static_cast<BlockId>(
+      (static_cast<std::uint64_t>(from) + 1 + rng.uniform_int(blocks - 1)) %
+      blocks);
 }
 
 void BM_GatherNeighborBlocks(benchmark::State& state) {
@@ -88,18 +113,18 @@ void BM_GatherNeighborBlocks(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherNeighborBlocks);
 
-void BM_VertexMoveDelta(benchmark::State& state) {
-  auto& f = fixture();
+void vertex_move_delta_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(2);
+  const auto vertices =
+      static_cast<std::uint64_t>(f.generated.graph.num_vertices());
 #ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
+    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
-    const auto to =
-        static_cast<BlockId>((from + 1 + rng.uniform_int(15)) % 16);
+    const BlockId to = other_block(f.blockmodel, from, rng);
     hsbp::blockmodel::gather_neighbor_blocks_into(f.generated.graph, view, v,
                                                   scratch);
     hsbp::blockmodel::vertex_move_delta_into(f.blockmodel, from, to,
@@ -108,10 +133,9 @@ void BM_VertexMoveDelta(benchmark::State& state) {
   }
 #else
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
+    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
-    const auto to =
-        static_cast<BlockId>((from + 1 + rng.uniform_int(15)) % 16);
+    const BlockId to = other_block(f.blockmodel, from, rng);
     const auto nb = hsbp::blockmodel::gather_neighbor_blocks(
         f.generated.graph, f.blockmodel.assignment(), v);
     benchmark::DoNotOptimize(
@@ -119,7 +143,16 @@ void BM_VertexMoveDelta(benchmark::State& state) {
   }
 #endif
 }
+
+void BM_VertexMoveDelta(benchmark::State& state) {
+  vertex_move_delta_bench(state, fixture());
+}
 BENCHMARK(BM_VertexMoveDelta);
+
+void BM_VertexMoveDelta_C256(benchmark::State& state) {
+  vertex_move_delta_bench(state, fixture_c256());
+}
+BENCHMARK(BM_VertexMoveDelta_C256);
 
 void BM_ProposeBlock(benchmark::State& state) {
   auto& f = fixture();
@@ -134,18 +167,18 @@ void BM_ProposeBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_ProposeBlock);
 
-void BM_HastingsCorrection(benchmark::State& state) {
-  auto& f = fixture();
+void hastings_correction_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(4);
+  const auto vertices =
+      static_cast<std::uint64_t>(f.generated.graph.num_vertices());
 #ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
+    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
-    const auto to =
-        static_cast<BlockId>((from + 1 + rng.uniform_int(15)) % 16);
+    const BlockId to = other_block(f.blockmodel, from, rng);
     hsbp::blockmodel::gather_neighbor_blocks_into(f.generated.graph, view, v,
                                                   scratch);
     hsbp::blockmodel::vertex_move_delta_into(f.blockmodel, from, to,
@@ -155,10 +188,9 @@ void BM_HastingsCorrection(benchmark::State& state) {
   }
 #else
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
+    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
-    const auto to =
-        static_cast<BlockId>((from + 1 + rng.uniform_int(15)) % 16);
+    const BlockId to = other_block(f.blockmodel, from, rng);
     const auto nb = hsbp::blockmodel::gather_neighbor_blocks(
         f.generated.graph, f.blockmodel.assignment(), v);
     const auto delta =
@@ -168,7 +200,16 @@ void BM_HastingsCorrection(benchmark::State& state) {
   }
 #endif
 }
+
+void BM_HastingsCorrection(benchmark::State& state) {
+  hastings_correction_bench(state, fixture());
+}
 BENCHMARK(BM_HastingsCorrection);
+
+void BM_HastingsCorrection_C256(benchmark::State& state) {
+  hastings_correction_bench(state, fixture_c256());
+}
+BENCHMARK(BM_HastingsCorrection_C256);
 
 void BM_MoveVertexRoundTrip(benchmark::State& state) {
   auto f = Fixture(2000, 16, 20000);  // private copy: we mutate it
@@ -185,18 +226,27 @@ void BM_MoveVertexRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_MoveVertexRoundTrip);
 
-void BM_MergeDelta(benchmark::State& state) {
-  auto& f = fixture();
+void merge_delta_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(6);
+  const auto blocks = static_cast<std::uint64_t>(f.blockmodel.num_blocks());
   for (auto _ : state) {
-    const auto from = static_cast<BlockId>(rng.uniform_int(16));
-    const auto to = static_cast<BlockId>((from + 1 + rng.uniform_int(15)) % 16);
+    const auto from = static_cast<BlockId>(rng.uniform_int(blocks));
+    const BlockId to = other_block(f.blockmodel, from, rng);
     benchmark::DoNotOptimize(hsbp::blockmodel::merge_delta_mdl(
         f.blockmodel, from, to, f.generated.graph.num_vertices(),
         f.generated.graph.num_edges()));
   }
 }
+
+void BM_MergeDelta(benchmark::State& state) {
+  merge_delta_bench(state, fixture());
+}
 BENCHMARK(BM_MergeDelta);
+
+void BM_MergeDelta_C256(benchmark::State& state) {
+  merge_delta_bench(state, fixture_c256());
+}
+BENCHMARK(BM_MergeDelta_C256);
 
 // ---- full-pass kernels: one whole sweep over the vertex set, the
 // granularity the phase loops actually run at. These aggregate the

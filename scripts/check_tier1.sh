@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the exact verify line from ROADMAP.md, with an
 # optional sanitizer toggle, followed by a sanitized pass over the
-# fault-injection/durability suite (`ctest -L fault`).
+# fault-injection/durability suite (`ctest -L fault`) and the blockmodel
+# kernel suites.
 #
 # Usage: scripts/check_tier1.sh [BUILD_DIR]
 #   HSBP_SANITIZE=address,undefined scripts/check_tier1.sh build-asan
@@ -9,9 +10,10 @@
 # Environment:
 #   HSBP_SANITIZE     comma-separated sanitizer list forwarded as
 #                     -DHSBP_SANITIZE=... (empty = plain build)
-#   HSBP_SKIP_FAULT   set to 1 to skip the extra sanitized fault-test
-#                     stage (it is also skipped when HSBP_SANITIZE is
-#                     set, since the whole suite is sanitized then)
+#   HSBP_SKIP_FAULT   set to 1 to skip the extra sanitized stage over
+#                     the fault-test and kernel suites (it is also
+#                     skipped when HSBP_SANITIZE is set, since the whole
+#                     suite is sanitized then)
 #   HSBP_SKIP_TSAN    set to 1 to skip the thread-sanitized pass over
 #                     the async/hybrid- and serve-labelled parallel
 #                     suites (also skipped when HSBP_SANITIZE is set —
@@ -62,12 +64,18 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # checkpoint/durability suite plus the ServeFault* torture tests
 # (torn/oversized frames, injected disconnects, shed/reap paths).
 # Checkpoint and frame-I/O bugs are exactly the kind that only a
-# sanitizer catches (use-after-close, torn buffers).
+# sanitizer catches (use-after-close, torn buffers). The same build
+# then runs the matrix, kernel-equivalence and delta-apply suites: the
+# blockmodel's dense cell mirror (DESIGN §10) is raw strided indexing
+# into a C×C array, read by every ΔMDL, Hastings and merge kernel.
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   FAULT_DIR="${BUILD_DIR}-fault-asan"
   cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined
   cmake --build "$FAULT_DIR" -j "$JOBS"
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
+  "$FAULT_DIR/tests/test_blockmodel" \
+    --gtest_filter='DictTransposeMatrix*:*KernelEquivalence*'
+  "$FAULT_DIR/tests/test_sbp" --gtest_filter='*DeltaApplyBitIdentity*'
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel

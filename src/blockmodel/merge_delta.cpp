@@ -18,16 +18,18 @@ double merge_delta_mdl(const Blockmodel& b, BlockId from, BlockId to,
 
   // The off-corner fold terms — one per surviving entry of row `from`
   // then column `from` — have the shape xlogx(existing + value) −
-  // xlogx(existing) − xlogx(value), with `existing` one indexed probe
-  // of the `to` slice. Narrow rows take a fused scalar loop; wide rows
-  // stage the three operand streams into the thread scratch's batch
-  // arrays and reduce with the batched xlogx kernel (table gathers).
-  // Both paths accumulate in the canonical strided-4 order with the
-  // identical per-term expression, so the choice cannot change bits.
+  // xlogx(existing) − xlogx(value), with `existing` one lookup in the
+  // `to` line (a dense mirror load when the matrix has one). The `from`
+  // slices are iterated, so the term order is their entry order. Narrow
+  // rows take a fused scalar loop; wide rows stage the three operand
+  // streams into the thread scratch's batch arrays and reduce with the
+  // batched xlogx kernel (table gathers). Both paths accumulate in the
+  // canonical strided-4 order with the identical per-term expression,
+  // so the choice cannot change bits.
   const FlatSlice& row_from = m.row(from);
   const FlatSlice& col_from = m.col(from);
-  const FlatSlice& row_to = m.row(to);
-  const FlatSlice& col_to = m.col(to);
+  const auto row_to = m.row_probe(to);
+  const auto col_to = m.col_probe(to);
 
   // Below this many candidate terms the staging stores plus the
   // out-of-line kernel call cost more than the table gathers save

@@ -51,15 +51,15 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
   // batched Hastings rescan both rely on.
   //
   // Each cell's (pre, post) value pair is staged as the cell is built —
-  // one indexed probe of a hoisted from/to slice per cell — keeping
-  // old_vals/new_vals aligned with the cell list; the batched Hastings
-  // correction reads the staged values back instead of re-probing the
-  // matrix.
+  // one lookup through a hoisted from/to line probe per cell (a dense
+  // mirror load when the matrix has one) — keeping old_vals/new_vals
+  // aligned with the cell list; the batched Hastings correction reads
+  // the staged values back instead of looking the cells up again.
   const DictTransposeMatrix& m = b.matrix();
-  const FlatSlice& row_from = m.row(from);
-  const FlatSlice& row_to = m.row(to);
-  const FlatSlice& col_from = m.col(from);
-  const FlatSlice& col_to = m.col(to);
+  const auto row_from = m.row_probe(from);
+  const auto row_to = m.row_probe(to);
+  const auto col_from = m.col_probe(from);
+  const auto col_to = m.col_probe(to);
   const std::size_t max_cells = 2 * (nb.out.size() + nb.in.size()) + 4;
   if (batch.old_vals.size() < max_cells) {
     batch.old_vals.resize(max_cells);

@@ -12,7 +12,6 @@ namespace hsbp::sbp {
 using blockmodel::BlockId;
 using blockmodel::Blockmodel;
 using blockmodel::Count;
-using blockmodel::FlatSlice;
 using blockmodel::MoveDelta;
 using blockmodel::MoveScratch;
 using blockmodel::NeighborBlockCounts;
@@ -112,16 +111,16 @@ double hastings_correction(const Blockmodel& b, BlockId from, BlockId to,
 
   const Count* const old_vals = batch.old_vals.data();
   const Count* const new_vals = batch.new_vals.data();
-  // Hoist the four slices every per-term probe lands in, so the slice
-  // headers stay hot instead of being re-fetched through m.get().
-  const FlatSlice& row_from = m.row(from);
-  const FlatSlice& row_to = m.row(to);
-  const FlatSlice& col_from = m.col(from);
-  const FlatSlice& col_to = m.col(to);
+  // Hoist a probe of each of the four lines every per-term lookup lands
+  // in, instead of re-deriving the line through m.get() per lookup.
+  const auto row_from = m.row_probe(from);
+  const auto row_to = m.row_probe(to);
+  const auto col_from = m.col_probe(from);
+  const auto col_to = m.col_probe(to);
 
   // Corner terms (t ∈ {from, to}): all four post-move cells are corner
   // cells, whose deltas the preceding vertex_move_delta_into left in
-  // the scratch — three hoisted-slice probes replace the generic
+  // the scratch — three hoisted line probes replace the generic
   // move_new_value branch ladder. Writing t as from/to explicitly also
   // collapses m.get(t,to)+m.get(to,t) to its symmetric form.
   const auto corner_prep = [&](BlockId t, Count k, std::size_t pos) {

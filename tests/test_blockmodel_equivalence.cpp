@@ -46,15 +46,20 @@ struct DensityCase {
   graph::Vertex vertices;
   std::int32_t communities;
   graph::EdgeCount edges;
+  bool dense_mirror;  ///< whether the built matrix mirrors its cells
 };
 
 /// Sparse, medium, and dense DCSBM graphs: density controls the
 /// neighbor-block fan-out k and hence how hard the stamped dedup and
-/// the flat slices are exercised.
+/// the flat slices are exercised. At C = 6 every matrix carries the
+/// dense cell mirror, so the last two cases, with C·C > 16·nnz, keep
+/// the slice-probe lookup path under the same comparison.
 const DensityCase kDensities[] = {
-    {120, 6, 360},    // sparse: avg degree 3
-    {120, 6, 1800},   // medium: avg degree 15
-    {120, 6, 7200},   // dense: avg degree 60, k often ≈ num_blocks
+    {120, 6, 360, true},      // sparse: avg degree 3
+    {120, 6, 1800, true},     // medium: avg degree 15
+    {120, 6, 7200, true},     // dense: avg degree 60, k often ≈ num_blocks
+    {120, 100, 360, false},   // C ≈ V: avg degree 3, nnz ≤ 360
+    {200, 160, 1200, false},  // C ≈ V: avg degree 12, nnz ≤ 1200
 };
 
 class KernelEquivalence
@@ -79,6 +84,7 @@ TEST_P(KernelEquivalence, MoveKernelsBitIdenticalOnRandomMoves) {
         rng.uniform_int(static_cast<std::uint64_t>(dc.communities)));
   }
   auto b = Blockmodel::from_assignment(g, state, dc.communities);
+  ASSERT_EQ(b.matrix().has_dense_mirror(), dc.dense_mirror);
   const auto view = [&b](Vertex u) { return b.block_of(u); };
 
   MoveScratch scratch;
@@ -151,6 +157,7 @@ TEST_P(KernelEquivalence, MergeDeltaBitIdenticalOnRandomMerges) {
   const Graph& g = generated.graph;
   const auto b = Blockmodel::from_assignment(g, generated.ground_truth,
                                              dc.communities);
+  ASSERT_EQ(b.matrix().has_dense_mirror(), dc.dense_mirror);
 
   util::Rng rng(seed + 101);
   for (int trial = 0; trial < 200; ++trial) {
@@ -169,7 +176,7 @@ TEST_P(KernelEquivalence, MergeDeltaBitIdenticalOnRandomMerges) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsByDensity, KernelEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(7, 21, 63),
-                       ::testing::Values(0, 1, 2)));
+                       ::testing::Values(0, 1, 2, 3, 4)));
 
 }  // namespace
 }  // namespace hsbp::blockmodel

@@ -74,6 +74,9 @@ void expect_identical(const Blockmodel& got, const Blockmodel& want,
   EXPECT_EQ(
       blockmodel::mdl(got, graph.num_vertices(), graph.num_edges()),
       blockmodel::mdl(want, graph.num_vertices(), graph.num_edges()));
+  // At C = 6 every state carries the dense cell mirror, which
+  // check_consistency() compares cell by cell with the slices.
+  EXPECT_TRUE(got.matrix().has_dense_mirror());
   EXPECT_TRUE(got.check_consistency(graph));
 }
 
