@@ -90,28 +90,75 @@ BlockId other_block(const Blockmodel& b, BlockId from, hsbp::util::Rng& rng) {
       blocks);
 }
 
-void BM_GatherNeighborBlocks(benchmark::State& state) {
-  auto& f = fixture();
+/// The fixture at mean total degree 50, the fit_ooc workload's graph
+/// (5000 vertices, 125000 edges), whose skeleton and piece refits the
+/// out-of-core fit runs on.
+Fixture& fixture_deg50() {
+  static Fixture f(2000, 16, 50000);
+  return f;
+}
+
+/// Vertices of `f` with total degree at least `min_degree`.
+std::vector<Vertex> vertices_of_degree(const Fixture& f,
+                                       hsbp::graph::EdgeCount min_degree) {
+  const auto& graph = f.generated.graph;
+  std::vector<Vertex> pool;
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    if (graph.out_degree(v) + graph.in_degree(v) >= min_degree) {
+      pool.push_back(v);
+    }
+  }
+  return pool;
+}
+
+/// Gathers the neighbor blocks of a uniform vertex of `pool` per
+/// iteration; reports the pool's mean total degree.
+void gather_bench(benchmark::State& state, const Fixture& f,
+                  const std::vector<Vertex>& pool) {
   hsbp::util::Rng rng(1);
+  const auto& graph = f.generated.graph;
+  const auto draw = [&] {
+    return pool[static_cast<std::size_t>(rng.uniform_int(pool.size()))];
+  };
 #ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
-    hsbp::blockmodel::gather_neighbor_blocks_into(f.generated.graph, view, v,
-                                                  scratch);
+    hsbp::blockmodel::gather_neighbor_blocks_into(
+        graph, view, draw(), f.blockmodel.num_blocks(), scratch);
     benchmark::DoNotOptimize(scratch.nb.degree_total());
   }
 #else
   for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(2000));
     benchmark::DoNotOptimize(hsbp::blockmodel::gather_neighbor_blocks(
-        f.generated.graph, f.blockmodel.assignment(), v));
+        graph, f.blockmodel.assignment(), draw()));
   }
 #endif
+  double degree = 0.0;
+  for (const Vertex v : pool) {
+    degree += static_cast<double>(graph.out_degree(v) + graph.in_degree(v));
+  }
+  state.counters["mean_degree"] = degree / static_cast<double>(pool.size());
+}
+
+void BM_GatherNeighborBlocks(benchmark::State& state) {
+  gather_bench(state, fixture(), vertices_of_degree(fixture(), 0));
 }
 BENCHMARK(BM_GatherNeighborBlocks);
+
+void BM_GatherNeighborBlocks_Deg50(benchmark::State& state) {
+  gather_bench(state, fixture_deg50(), vertices_of_degree(fixture_deg50(), 0));
+}
+BENCHMARK(BM_GatherNeighborBlocks_Deg50);
+
+/// Hubs only: total degree ≥ 64, where the gather used to batch its
+/// membership loads through an AVX2 gather instruction.
+void BM_GatherNeighborBlocks_Hub(benchmark::State& state) {
+  gather_bench(state, fixture_deg50(),
+               vertices_of_degree(fixture_deg50(), 64));
+}
+BENCHMARK(BM_GatherNeighborBlocks_Hub);
 
 void vertex_move_delta_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(2);
@@ -125,11 +172,11 @@ void vertex_move_delta_bench(benchmark::State& state, const Fixture& f) {
     const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
     const BlockId to = other_block(f.blockmodel, from, rng);
-    hsbp::blockmodel::gather_neighbor_blocks_into(f.generated.graph, view, v,
-                                                  scratch);
+    hsbp::blockmodel::gather_neighbor_blocks_into(
+        f.generated.graph, view, v, f.blockmodel.num_blocks(), scratch);
     hsbp::blockmodel::vertex_move_delta_into(f.blockmodel, from, to,
                                              scratch.nb, scratch);
-    benchmark::DoNotOptimize(scratch.delta.delta_mdl);
+    benchmark::DoNotOptimize(scratch.delta_mdl);
   }
 #else
   for (auto _ : state) {
@@ -179,8 +226,8 @@ void hastings_correction_bench(benchmark::State& state, const Fixture& f) {
     const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
     const BlockId from = f.blockmodel.block_of(v);
     const BlockId to = other_block(f.blockmodel, from, rng);
-    hsbp::blockmodel::gather_neighbor_blocks_into(f.generated.graph, view, v,
-                                                  scratch);
+    hsbp::blockmodel::gather_neighbor_blocks_into(
+        f.generated.graph, view, v, f.blockmodel.num_blocks(), scratch);
     hsbp::blockmodel::vertex_move_delta_into(f.blockmodel, from, to,
                                              scratch.nb, scratch);
     benchmark::DoNotOptimize(

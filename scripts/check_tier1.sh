@@ -65,16 +65,19 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # (torn/oversized frames, injected disconnects, shed/reap paths).
 # Checkpoint and frame-I/O bugs are exactly the kind that only a
 # sanitizer catches (use-after-close, torn buffers). The same build
-# then runs the matrix, kernel-equivalence and delta-apply suites: the
-# blockmodel's dense cell mirror (DESIGN §10) is raw strided indexing
-# into a C×C array, read by every ΔMDL, Hastings and merge kernel.
+# then runs the matrix, kernel-equivalence, delta-apply, build-order
+# and scratch-reuse suites: the blockmodel's dense cell mirror (DESIGN
+# §10) is raw strided indexing into a C×C array, read by every ΔMDL,
+# Hastings and merge kernel, and the gather's and the build's per-block
+# tallies are raw int32 arrays indexed by block id without bounds
+# checks, sized from the block count.
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   FAULT_DIR="${BUILD_DIR}-fault-asan"
   cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined
   cmake --build "$FAULT_DIR" -j "$JOBS"
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
   "$FAULT_DIR/tests/test_blockmodel" \
-    --gtest_filter='DictTransposeMatrix*:*KernelEquivalence*'
+    --gtest_filter='DictTransposeMatrix*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" --gtest_filter='*DeltaApplyBitIdentity*'
 fi
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "blockmodel/block_tally.hpp"
 #include "util/omp_region.hpp"
 
 namespace hsbp::blockmodel {
@@ -128,19 +129,40 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   // util::omp_region. Splitting them out lets the chunked path below run
   // phase A over bounded vertex ranges (releasing mapped pages between
   // ranges) while the default path keeps the original single region.
+  //
+  // Phase A tallies each vertex's out-neighbor blocks first (the
+  // gather's BlockTally), then makes one map update per distinct
+  // (row, col) pair in first-sighting order instead of one per edge. A
+  // libstdc++ unordered_map's iteration order depends only on the
+  // sequence of new keys inserted (rehashes are triggered by the
+  // element count), and a key new to the map is inserted at its first
+  // sighting either way — so phases B and C see the same maps, in the
+  // same order, and build the same slices (DESIGN §11).
+  //
+  // One tally per thread, a cache line apart: every vertex writes its
+  // thread's tally.
+  struct alignas(64) ThreadTally {
+    BlockTally tally;
+  };
+  std::vector<ThreadTally> tallies(shards);
   const auto phase_a = [&](Vertex begin, Vertex end) {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     auto& local = locals[tid];
+    BlockTally& tally = tallies[tid].tally;
 #pragma omp for schedule(static) nowait
     for (Vertex v = begin; v < end; ++v) {
       const auto src_block = static_cast<std::uint64_t>(
           static_cast<std::uint32_t>(assignment_[static_cast<std::size_t>(v)]));
       auto& bucket = local[static_cast<std::size_t>(src_block) % shards];
-      for (const Vertex target : graph.out_neighbors(v)) {
-        const auto dst_block = static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(
-                assignment_[static_cast<std::size_t>(target)]));
-        ++bucket[(src_block << 32) | dst_block];
+      const std::span<const Vertex> targets = graph.out_neighbors(v);
+      tally.begin(num_blocks_, targets.size());
+      tally.add(targets, -1, [labels = assignment_.data()](Vertex u) {
+        return labels[static_cast<std::size_t>(u)];
+      });
+      for (std::size_t i = 0; i < tally.size(); ++i) {
+        const BlockId dst_block = tally.block(i);
+        bucket[(src_block << 32) | static_cast<std::uint32_t>(dst_block)] +=
+            tally.count(dst_block);
       }
     }
   };

@@ -1,5 +1,6 @@
 #include "blockmodel/vertex_move_delta.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "blockmodel/simd_kernels.hpp"
@@ -15,12 +16,18 @@ MoveScratch& thread_move_scratch() noexcept {
 NeighborBlockCounts gather_neighbor_blocks(
     const graph::GraphView& graph, std::span<const std::int32_t> assignment,
     graph::Vertex v) {
-  return gather_neighbor_blocks_view(
-      graph,
-      [assignment](graph::Vertex u) {
-        return assignment[static_cast<std::size_t>(u)];
-      },
-      v);
+  // Cold path: size the tallies from the labels this gather reads.
+  BlockId num_blocks = 0;
+  for (const auto neighbors : {graph.out_neighbors(v), graph.in_neighbors(v)}) {
+    for (const graph::Vertex u : neighbors) {
+      num_blocks =
+          std::max(num_blocks, assignment[static_cast<std::size_t>(u)] + 1);
+    }
+  }
+  MoveScratch& scratch = thread_move_scratch();
+  gather_neighbor_blocks_into(graph, FlatMembershipView{assignment.data()}, v,
+                              num_blocks, scratch);
+  return scratch.nb;
 }
 
 Count MoveDelta::new_value(const Blockmodel& b, BlockId row,
@@ -36,25 +43,24 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
                             const NeighborBlockCounts& nb,
                             MoveScratch& scratch) {
   assert(from != to);
-  auto& cells = scratch.delta.cell_deltas;
   auto& batch = scratch.batch;
-  cells.clear();
   scratch.set_move(from, to);
 
   // Out-edges touch only rows from/to, in-edges only columns from/to,
   // and self-loops only the diagonal — so contributions can overlap
   // solely on the four corner cells {from,to}×{from,to}. Splitting
   // those four into scalar accumulators makes every other cell unique,
-  // and the cell list becomes pure appends: non-corner out pairs, then
-  // non-corner in pairs, then the nonzero corners. That order is the
-  // canonical cell order (DESIGN §13) the reference kernels and the
+  // so the changed cells come out in one pass: non-corner out pairs,
+  // then non-corner in pairs, then the nonzero corners. That order is
+  // the canonical cell order (DESIGN §13) the reference kernels and the
   // batched Hastings rescan both rely on.
   //
-  // Each cell's (pre, post) value pair is staged as the cell is built —
-  // one lookup through a hoisted from/to line probe per cell (a dense
-  // mirror load when the matrix has one) — keeping old_vals/new_vals
-  // aligned with the cell list; the batched Hastings correction reads
-  // the staged values back instead of looking the cells up again.
+  // No cell list is kept: each cell's (pre, post) value pair is staged
+  // in that order — one lookup through a hoisted from/to line probe per
+  // cell (a dense mirror load when the matrix has one) — and the
+  // batched Hastings correction reads the staged values back instead of
+  // looking the cells up again. vertex_move_delta() rebuilds the list
+  // for the by-value API.
   const DictTransposeMatrix& m = b.matrix();
   const auto row_from = m.row_probe(from);
   const auto row_to = m.row_probe(to);
@@ -66,9 +72,8 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
     batch.new_vals.resize(max_cells);
   }
   std::size_t n = 0;
-  const auto stage = [&](BlockId row, BlockId col, Count delta, Count old_v) {
+  const auto stage = [&](Count delta, Count old_v) {
     assert(old_v + delta >= 0);
-    cells.push_back({row, col, delta});
     batch.old_vals[n] = old_v;
     batch.new_vals[n] = old_v + delta;
     ++n;
@@ -81,8 +86,8 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
     } else if (t == to) {
       ko_t = k;
     } else {
-      stage(from, t, -k, row_from.get(t));
-      stage(to, t, +k, row_to.get(t));
+      stage(-k, row_from.get(t));
+      stage(+k, row_to.get(t));
     }
   }
   for (const auto& [t, k] : nb.in) {
@@ -91,8 +96,8 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
     } else if (t == to) {
       ki_t = k;
     } else {
-      stage(t, from, -k, col_from.get(t));
-      stage(t, to, +k, col_to.get(t));
+      stage(-k, col_from.get(t));
+      stage(+k, col_to.get(t));
     }
   }
   const Count self = nb.self_loops;
@@ -101,10 +106,10 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
   const Count d_ft = ki_f - ko_t;
   const Count d_tt = ko_t + ki_t + self;
   scratch.set_corners(d_ff, d_tf, d_ft, d_tt);
-  if (d_ff != 0) stage(from, from, d_ff, row_from.get(from));
-  if (d_tf != 0) stage(to, from, d_tf, row_to.get(from));
-  if (d_ft != 0) stage(from, to, d_ft, row_from.get(to));
-  if (d_tt != 0) stage(to, to, d_tt, row_to.get(to));
+  if (d_ff != 0) stage(d_ff, row_from.get(from));
+  if (d_tf != 0) stage(d_tf, row_to.get(from));
+  if (d_ft != 0) stage(d_ft, row_from.get(to));
+  if (d_tt != 0) stage(d_tt, row_to.get(to));
 
   // Reduce with the batched xlogx kernel: term order is the cell order,
   // and the reduction uses the canonical strided-4 accumulation (DESIGN
@@ -122,7 +127,7 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
       degree_delta(b.degree_in(from), b.degree_in(to), nb.degree_in);
 
   // ΔL = Δcells − Δdegrees; ΔMDL = −ΔL (model term unchanged).
-  scratch.delta.delta_mdl = -(delta_cells - delta_degrees);
+  scratch.delta_mdl = -(delta_cells - delta_degrees);
 }
 
 Count move_new_value(const Blockmodel& b, const MoveScratch& scratch,
@@ -149,7 +154,28 @@ MoveDelta vertex_move_delta(const Blockmodel& b, BlockId from, BlockId to,
                             const NeighborBlockCounts& nb) {
   MoveScratch& scratch = thread_move_scratch();
   vertex_move_delta_into(b, from, to, nb, scratch);
-  return scratch.delta;
+  MoveDelta result;
+  result.delta_mdl = scratch.delta_mdl;
+  // The canonical cell order of vertex_move_delta_into's staging.
+  auto& cells = result.cell_deltas;
+  for (const auto& [t, k] : nb.out) {
+    if (t == from || t == to) continue;
+    cells.push_back({from, t, -k});
+    cells.push_back({to, t, +k});
+  }
+  for (const auto& [t, k] : nb.in) {
+    if (t == from || t == to) continue;
+    cells.push_back({t, from, -k});
+    cells.push_back({t, to, +k});
+  }
+  const CellDelta corners[] = {{from, from, scratch.corner_ff()},
+                               {to, from, scratch.corner_tf()},
+                               {from, to, scratch.corner_ft()},
+                               {to, to, scratch.corner_tt()}};
+  for (const CellDelta& corner : corners) {
+    if (corner.delta != 0) cells.push_back(corner);
+  }
+  return result;
 }
 
 }  // namespace hsbp::blockmodel

@@ -13,23 +13,20 @@
 ///
 /// Two API layers:
 ///   - *_into kernels writing into a caller-owned MoveScratch — the hot
-///     path. No heap allocation after warm-up, O(k) dedup through
-///     persistent per-block stamp indexes instead of linear rescans.
+///     path. No heap allocation after warm-up, O(k) dedup through flat
+///     per-block counters (BlockTally) instead of linear rescans.
 ///   - by-value wrappers (gather_neighbor_blocks, vertex_move_delta)
 ///     retained for cold paths and tests; they run the same kernels
 ///     through a thread-local scratch and copy the result out.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "blockmodel/block_tally.hpp"
 #include "blockmodel/blockmodel.hpp"
-#include "util/simd.hpp"
 
 namespace hsbp::blockmodel {
 
@@ -56,8 +53,10 @@ struct CellDelta {
 };
 
 /// Result of evaluating a move. `cell_deltas` lists every changed cell
-/// exactly once (consumed by the Hastings correction, which needs
-/// post-move matrix values without applying the move).
+/// exactly once, in the canonical cell order (DESIGN §13), for the
+/// by-value Hastings correction, which needs post-move matrix values
+/// without applying the move. Only the by-value vertex_move_delta()
+/// builds the list; the hot path stages cell values in MoveScratch.
 struct MoveDelta {
   double delta_mdl = 0.0;
   std::vector<CellDelta> cell_deltas;
@@ -69,69 +68,40 @@ struct MoveDelta {
 };
 
 /// Per-thread reusable workspace for the propose/ΔMDL/accept step.
-/// Holds the gather and cell-delta buffers (cleared, never freed, so
-/// steady-state passes allocate nothing) and two persistent per-block
-/// stamp indexes that turn the gather dedup into one stamped increment
-/// per neighbor: a block's first sighting records its position in the
-/// nb list, later sightings bump the count in place. Stamps are
-/// invalidated in O(1) by bumping the epoch at gather entry.
+/// Holds the gather and staging buffers (cleared, never freed, so
+/// steady-state passes allocate nothing) and one BlockTally per
+/// direction, which turns the gather dedup into one branch-free
+/// counter increment per neighbor.
 ///
-/// The stamp indexes double as the move-description index: after a
-/// gather, out_count(t)/in_count(t) answer the vertex's edge
-/// multiplicity towards block t in O(1), which is exactly the cell
-/// delta of the move for any non-corner cell (see move_new_value).
-/// They stay valid until the next gather, provided nb itself is not
-/// mutated in between (no caller does).
+/// The tallies double as the move-description index: after a gather,
+/// out_count(t)/in_count(t) answer the vertex's edge multiplicity
+/// towards block t in O(1), which is exactly the cell delta of the move
+/// for any non-corner cell (see move_new_value). They stay valid until
+/// the next gather on this scratch, whatever happens to `nb` in between:
+/// block_merge_phase refills `nb` from the blockmodel, and the next
+/// gather still resets the counters through the tallies' own lists.
 class MoveScratch {
  public:
   NeighborBlockCounts nb;  ///< gather target (buffers reused)
-  MoveDelta delta;         ///< ΔMDL target (cell buffer reused)
+  double delta_mdl = 0.0;  ///< ΔMDL target of vertex_move_delta_into
+
+  /// Gather internals, written only by gather_neighbor_blocks_into.
+  BlockTally out_blocks;
+  BlockTally in_blocks;
 
   /// Edge multiplicity from the gathered vertex to block t (out / in
   /// direction); 0 for blocks outside the neighbor lists. Valid from
   /// the end of a gather until the next gather on this scratch.
+  /// \pre block < the num_blocks of that gather.
   Count out_count(BlockId block) const noexcept {
-    const auto i = static_cast<std::size_t>(block);
-    return i < stamp_out_.size() && stamp_out_[i] == epoch_
-               ? nb.out[idx_out_[i]].second
-               : 0;
+    return out_blocks.count(block);
   }
   Count in_count(BlockId block) const noexcept {
-    const auto i = static_cast<std::size_t>(block);
-    return i < stamp_in_.size() && stamp_in_[i] == epoch_
-               ? nb.in[idx_in_[i]].second
-               : 0;
+    return in_blocks.count(block);
   }
 
-  /// Gather internals: begin_gather() invalidates the previous gather's
-  /// stamps in O(1); add_out/add_in accumulate one neighbor sighting
-  /// (append on first sighting, in-place increment after).
-  void begin_gather() noexcept { ++epoch_; }
-  void add_out(BlockId block) {
-    const auto i = static_cast<std::size_t>(block);
-    if (i >= stamp_out_.size()) grow(i + 1);
-    if (stamp_out_[i] == epoch_) {
-      ++nb.out[idx_out_[i]].second;
-    } else {
-      stamp_out_[i] = epoch_;
-      idx_out_[i] = nb.out.size();
-      nb.out.emplace_back(block, 1);
-    }
-  }
-  void add_in(BlockId block) {
-    const auto i = static_cast<std::size_t>(block);
-    if (i >= stamp_in_.size()) grow(i + 1);
-    if (stamp_in_[i] == epoch_) {
-      ++nb.in[idx_in_[i]].second;
-    } else {
-      stamp_in_[i] = epoch_;
-      idx_in_[i] = nb.in.size();
-      nb.in.emplace_back(block, 1);
-    }
-  }
-
-  /// Endpoints of the move the `delta` buffer currently describes (set
-  /// by vertex_move_delta_into; consumed by move_new_value), and the
+  /// Endpoints of the move `delta_mdl` currently describes (set by
+  /// vertex_move_delta_into; consumed by move_new_value), and the
   /// deltas of the four corner cells {from,to}×{from,to} — the only
   /// cells where out-, in- and self-loop contributions can overlap.
   BlockId move_from() const noexcept { return move_from_; }
@@ -168,27 +138,10 @@ class MoveScratch {
     std::vector<double> fwd_den;       ///< Hastings: forward denominators
     std::vector<double> bwd_num;       ///< Hastings: backward numerators
     std::vector<double> bwd_den;       ///< Hastings: backward denominators
-    std::vector<std::int32_t> blocks;  ///< gathered neighbor memberships
   };
   BatchBuffers batch;
 
  private:
-  void grow(std::size_t needed) {
-    stamp_out_.resize(needed, 0);
-    stamp_in_.resize(needed, 0);
-    idx_out_.resize(needed, 0);
-    idx_in_.resize(needed, 0);
-  }
-
-  // Stamps are 64-bit so the epoch never wraps around into a stale
-  // match; fresh entries hold 0 and the epoch starts at 1. Stamp and
-  // list-position arrays are kept separate so a dedup hit issues the
-  // two loads independently.
-  std::vector<std::uint64_t> stamp_out_;
-  std::vector<std::uint64_t> stamp_in_;
-  std::vector<std::size_t> idx_out_;
-  std::vector<std::size_t> idx_in_;
-  std::uint64_t epoch_ = 1;
   BlockId move_from_ = -1;
   BlockId move_to_ = -1;
   Count corner_ff_ = 0;
@@ -198,17 +151,15 @@ class MoveScratch {
 };
 
 /// The calling thread's scratch arena (one per OpenMP thread, lives for
-/// the thread's lifetime). Scratch state never influences results — the
-/// epoch discipline fully isolates consecutive uses — so sharing one
-/// arena across phases is safe.
+/// the thread's lifetime). Scratch state never influences results —
+/// every gather resets the tallies it reads and every kernel overwrites
+/// what it stages — so sharing one arena across phases is safe.
 MoveScratch& thread_move_scratch() noexcept;
 
-/// Membership view over a plain contiguous int32 label array. Gather
-/// loops recognize this type (it is not an opaque callable) and batch
-/// the base[u] lookups through util::simd::gather_i32 (`vpgatherdd`).
-/// The serial phases wrap the blockmodel's own assignment; the async
-/// phase wraps its shared atomic vector outside TSan builds, where
-/// relaxed atomic loads and plain loads are the same instruction.
+/// Membership view over a plain contiguous int32 label array. The
+/// serial phases wrap the blockmodel's own assignment; the async phase
+/// wraps its shared atomic vector outside TSan builds, where relaxed
+/// atomic loads and plain loads are the same instruction.
 struct FlatMembershipView {
   const std::int32_t* base = nullptr;
   BlockId operator()(graph::Vertex u) const noexcept {
@@ -220,75 +171,47 @@ struct FlatMembershipView {
 /// through `view`, a callable Vertex → BlockId. This is the A-SBP hook:
 /// the async phase passes a view over an atomically-updated shared
 /// membership vector, the serial phases a view over the blockmodel's
-/// own assignment. Dedup is O(deg(v)) via the per-block stamp indexes,
-/// which keep the counts readable (out_count/in_count) until the
-/// next gather on the same scratch. When `view`
-/// is a FlatMembershipView and the vertex degree is large, the
-/// membership lookups for each neighbor span are batch-gathered into
-/// scratch.batch.blocks first; the stamping loop reads the same block
-/// values either way, so the nb output is identical.
+/// own assignment. Dedup is O(deg(v)): one branch-free tally increment
+/// per neighbor, after which the counts stay readable
+/// (out_count/in_count) until the next gather on the same scratch.
+/// nb.out/nb.in list the blocks in first-sighting order.
+/// \pre every label `view` returns for a neighbor of v is in
+/// [0, num_blocks) — the tallies index by it unchecked.
 template <typename View>
 void gather_neighbor_blocks_into(const graph::GraphView& graph, const View& view,
-                                 graph::Vertex v, MoveScratch& scratch) {
-  constexpr bool kFlat = std::is_same_v<View, FlatMembershipView>;
-  NeighborBlockCounts& nb = scratch.nb;
-  nb.out.clear();
-  nb.in.clear();
-  nb.self_loops = 0;
-  nb.degree_out = graph.out_degree(v);
-  nb.degree_in = graph.in_degree(v);
-
-  scratch.begin_gather();
+                                 graph::Vertex v, BlockId num_blocks,
+                                 MoveScratch& scratch) {
   const std::span<const graph::Vertex> out = graph.out_neighbors(v);
   const std::span<const graph::Vertex> in = graph.in_neighbors(v);
-  [[maybe_unused]] const std::int32_t* gathered = nullptr;
-  if constexpr (kFlat) {
-    // Batch the membership loads only for high-degree vertices: below
-    // this the two gather calls cost more than they save (the scalar
-    // loads hit L1 and overlap with the counting work), measured on
-    // the bench fixture at mean degree ~10.
-    constexpr std::size_t kGatherBatchMin = 64;
-    if (out.size() + in.size() >= kGatherBatchMin) {
-      auto& buf = scratch.batch.blocks;
-      if (buf.size() < out.size() + in.size()) {
-        buf.resize(out.size() + in.size());
-      }
-      util::simd::gather_i32(view.base, out.data(), out.size(), buf.data());
-      util::simd::gather_i32(view.base, in.data(), in.size(),
-                             buf.data() + out.size());
-      gathered = buf.data();
-    }
-  }
+  BlockTally& out_blocks = scratch.out_blocks;
+  BlockTally& in_blocks = scratch.in_blocks;
+  out_blocks.begin(num_blocks, out.size());
+  in_blocks.begin(num_blocks, in.size());
+  // A self-loop is counted once, on the out side.
+  const auto self_loops = static_cast<Count>(out_blocks.add(out, v, view));
+  in_blocks.add(in, v, view);
 
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const graph::Vertex u = out[j];
-    if (u == v) {
-      ++nb.self_loops;
-      continue;
+  NeighborBlockCounts& nb = scratch.nb;
+  const auto fill = [](const BlockTally& tally,
+                       std::vector<std::pair<BlockId, Count>>& counts) {
+    counts.resize(tally.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const BlockId block = tally.block(i);
+      counts[i] = {block, tally.count(block)};
     }
-    BlockId block;
-    if constexpr (kFlat) {
-      block = gathered != nullptr ? gathered[j] : view(u);
-    } else {
-      block = view(u);
-    }
-    scratch.add_out(block);
-  }
-  for (std::size_t j = 0; j < in.size(); ++j) {
-    const graph::Vertex u = in[j];
-    if (u == v) continue;  // counted once via the out pass
-    BlockId block;
-    if constexpr (kFlat) {
-      block = gathered != nullptr ? gathered[out.size() + j] : view(u);
-    } else {
-      block = view(u);
-    }
-    scratch.add_in(block);
-  }
+  };
+  fill(out_blocks, nb.out);
+  fill(in_blocks, nb.in);
+  nb.self_loops = self_loops;
+  nb.degree_out = graph.out_degree(v);
+  nb.degree_in = graph.in_degree(v);
 }
 
-/// ΔMDL of moving v from `from` to `to`, written into scratch.delta
-/// (plus the corner deltas, which move_new_value() reads afterwards).
+/// ΔMDL of moving v from `from` to `to`, written into scratch.delta_mdl
+/// (plus the corner deltas, which move_new_value() reads afterwards, and
+/// each changed cell's pre/post value in scratch.batch.old_vals/new_vals,
+/// in the canonical cell order, which the batched Hastings correction
+/// replays).
 /// `nb` is usually scratch.nb (aliasing is fine — it is only read).
 /// \pre from != to; `nb` gathered under the same assignment the
 /// blockmodel's M corresponds to, by a gather on this same scratch
@@ -304,23 +227,16 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
 Count move_new_value(const Blockmodel& b, const MoveScratch& scratch,
                      BlockId row, BlockId col) noexcept;
 
-/// By-value wrapper over gather_neighbor_blocks_into (thread scratch).
-template <typename View>
-NeighborBlockCounts gather_neighbor_blocks_view(const graph::GraphView& graph,
-                                                const View& view,
-                                                graph::Vertex v) {
-  MoveScratch& scratch = thread_move_scratch();
-  gather_neighbor_blocks_into(graph, view, v, scratch);
-  return scratch.nb;
-}
-
+/// By-value wrapper over gather_neighbor_blocks_into (thread scratch),
+/// reading memberships from `assignment`.
 NeighborBlockCounts gather_neighbor_blocks(
     const graph::GraphView& graph, std::span<const std::int32_t> assignment,
     graph::Vertex v);
 
 /// By-value wrapper over vertex_move_delta_into (thread scratch). ΔMDL
-/// of moving v from `from` to `to`. \pre from != to; `nb` gathered
-/// under the same assignment the blockmodel's M corresponds to.
+/// of moving v from `from` to `to`, plus the full cell list, built here
+/// off the hot path. \pre from != to; `nb` gathered under the same
+/// assignment the blockmodel's M corresponds to.
 MoveDelta vertex_move_delta(const Blockmodel& b, BlockId from, BlockId to,
                             const NeighborBlockCounts& nb);
 

@@ -32,8 +32,7 @@ PhaseOutcome hybrid_phase(const GraphView& graph, Blockmodel& b,
     // synchronous Metropolis-Hastings sweep with in-place updates, so
     // they "switch communities first" against fresh state. The flat
     // view reads the in-place-updated assignment directly (no
-    // reallocation ever happens) and batch-gathers memberships for
-    // exactly these high-degree vertices.
+    // reallocation ever happens).
     const blockmodel::FlatMembershipView fresh_view{b.assignment().data()};
     for (const Vertex v : split.high) {
       const auto result =

@@ -73,13 +73,14 @@ VertexOutcome evaluate_vertex(const graph::GraphView& graph,
   const blockmodel::BlockId from = view(v);
   if (source_block_size <= 1) return outcome;  // would empty the block
 
-  blockmodel::gather_neighbor_blocks_into(graph, view, v, scratch);
+  blockmodel::gather_neighbor_blocks_into(graph, view, v, b.num_blocks(),
+                                          scratch);
   const blockmodel::BlockId to =
       propose_block(b, scratch.nb, from, false, rng);
   if (to == from) return outcome;
 
   blockmodel::vertex_move_delta_into(b, from, to, scratch.nb, scratch);
-  const double mdl_ratio = std::exp(-beta * scratch.delta.delta_mdl);
+  const double mdl_ratio = std::exp(-beta * scratch.delta_mdl);
   const double bound =
       mdl_ratio * hastings_bound(b, graph.num_edges(), from,
                                  scratch.nb.degree_total());
@@ -96,7 +97,7 @@ VertexOutcome evaluate_vertex(const graph::GraphView& graph,
   if (accept) {
     outcome.moved = true;
     outcome.to = to;
-    outcome.delta_mdl = scratch.delta.delta_mdl;
+    outcome.delta_mdl = scratch.delta_mdl;
   }
   return outcome;
 }

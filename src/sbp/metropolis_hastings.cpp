@@ -21,8 +21,7 @@ PhaseOutcome metropolis_hastings_phase(const GraphView& graph, Blockmodel& b,
 
   // Flat view over the blockmodel's own assignment: move_vertex updates
   // labels in place (the vector never reallocates), so the base pointer
-  // stays valid and reads are always fresh. The typed view lets the
-  // gather batch its membership loads for high-degree vertices.
+  // stays valid and reads are always fresh.
   const blockmodel::FlatMembershipView view{b.assignment().data()};
 
   for (int pass = 0; pass < settings.max_iterations; ++pass) {

@@ -91,60 +91,6 @@ bool audit_enabled() noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// gather_i32
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void gather_i32_scalar(const std::int32_t* base, const std::int32_t* idx,
-                       std::size_t n, std::int32_t* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = base[idx[i]];
-  }
-}
-
-#if HSBP_SIMD_X86
-
-__attribute__((target("avx2"))) void gather_i32_avx2(
-    const std::int32_t* base, const std::int32_t* idx, std::size_t n,
-    std::int32_t* out) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i g = _mm256_i32gather_epi32(base, v, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
-  }
-  for (; i < n; ++i) out[i] = base[idx[i]];
-}
-
-#endif  // HSBP_SIMD_X86
-
-}  // namespace
-
-void gather_i32(const std::int32_t* base, const std::int32_t* idx,
-                std::size_t n, std::int32_t* out) noexcept {
-#if HSBP_SIMD_X86
-  if (active_level() == Level::kAvx2) {
-    gather_i32_avx2(base, idx, n, out);
-    if (audit_enabled()) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (out[i] != base[idx[i]]) {
-          std::fprintf(stderr,
-                       "hsbp: HSBP_SIMD_AUDIT gather_i32 diverged: "
-                       "n=%zu i=%zu got=%d scalar=%d\n",
-                       n, i, out[i], base[idx[i]]);
-          std::abort();
-        }
-      }
-    }
-    return;
-  }
-#endif
-  gather_i32_scalar(base, idx, n, out);
-}
-
-// ---------------------------------------------------------------------------
 // strided_sum
 // ---------------------------------------------------------------------------
 

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -69,11 +68,6 @@ void set_level(Level level) noexcept;
 /// reach shapes the randomized tests may not (e.g. transiently negative
 /// staged counts from async-phase staleness). Resolved once per process.
 bool audit_enabled() noexcept;
-
-/// out[i] = base[idx[i]] for 32-bit elements — the membership gather of
-/// the neighbor-block scan (AVX2: vpgatherdd 8 lanes at a time).
-void gather_i32(const std::int32_t* base, const std::int32_t* idx,
-                std::size_t n, std::int32_t* out) noexcept;
 
 /// Strided-4 sum of num[i] / den[i] — kept for completeness/tests of
 /// the canonical order on plain arrays.

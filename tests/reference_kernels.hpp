@@ -3,14 +3,16 @@
 /// used only by the equivalence tests.
 ///
 /// Each function here is the implementation that shipped before the
-/// allocation-free rewrite (scratch arenas, epoch-stamped dedup, xlogx
-/// table): allocate-per-call gather with O(k²) linear-scan accumulation,
-/// vertex_move_delta with linear-scan cell dedup and live std::log,
-/// MoveDelta::new_value via a cell-list scan, the Hastings correction on
-/// top of it, and merge_delta_mdl with live std::log. The optimized
-/// kernels must be *bit-identical* to these — that is the contract that
-/// makes the rewrite a pure performance change — so the tests compare
-/// results with ==, not EXPECT_NEAR.
+/// allocation-free rewrite (scratch arenas, flat per-block tallies,
+/// xlogx table): allocate-per-call gather with O(k²) linear-scan
+/// accumulation, vertex_move_delta with linear-scan cell dedup and live
+/// std::log, MoveDelta::new_value via a cell-list scan, the Hastings
+/// correction on top of it, and merge_delta_mdl with live std::log —
+/// plus the blockmodel build's per-edge edge scan, down to the entry
+/// order of every slice it fills. The optimized kernels must be
+/// *bit-identical* to these — that is the contract that makes the
+/// rewrite a pure performance change — so the tests compare results
+/// with ==, not EXPECT_NEAR.
 ///
 /// One deliberate departure from the pre-rewrite code: floating-point
 /// term sums use the canonical strided-4 accumulation order of
@@ -26,9 +28,14 @@
 /// the library, only into test binaries.
 #pragma once
 
+#include <omp.h>
+
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +45,7 @@
 #include "graph/graph.hpp"
 #include "sbp/mcmc_common.hpp"
 #include "sbp/proposal.hpp"
+#include "util/omp_region.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::reference {
@@ -292,6 +300,87 @@ inline double merge_delta_mdl(const Blockmodel& b, BlockId from, BlockId to,
                                            b.num_blocks());
 
   return delta_model - delta_likelihood;
+}
+
+/// Entry sequences of every row and column slice of a built matrix.
+struct BuildSlices {
+  std::vector<std::vector<std::pair<BlockId, Count>>> rows;
+  std::vector<std::vector<std::pair<BlockId, Count>>> cols;
+};
+
+/// Pre-aggregation Blockmodel::build_from, transcribed down to the entry
+/// order of every slice. Phase A makes one map update per edge, into
+/// per-thread maps bucketed by row shard (shard = row mod S, S the
+/// thread count), over `chunk_vertices`-sized vertex ranges, each range
+/// its own parallel region (0 = one range: from_assignment and
+/// rebuild). Phase B adds each shard's map cells to their rows, source
+/// thread by source thread in map order; phase C appends each row
+/// shard's cells, row by row in slice order, to their columns. Only
+/// insertion order is emulated, which is the order a FlatSlice iterates
+/// when nothing was erased.
+inline BuildSlices build_slices(const graph::GraphView& graph,
+                                std::span<const std::int32_t> assignment,
+                                BlockId num_blocks,
+                                graph::Vertex chunk_vertices) {
+  const std::int64_t v_count = graph.num_vertices();
+  const auto shards = static_cast<std::size_t>(omp_get_max_threads());
+  std::vector<std::vector<std::unordered_map<std::uint64_t, Count>>> locals(
+      shards, std::vector<std::unordered_map<std::uint64_t, Count>>(shards));
+
+  const auto phase_a = [&](graph::Vertex begin, graph::Vertex end) {
+    auto& local = locals[static_cast<std::size_t>(omp_get_thread_num())];
+#pragma omp for schedule(static) nowait
+    for (graph::Vertex v = begin; v < end; ++v) {
+      const auto src_block = static_cast<std::uint64_t>(
+          static_cast<std::uint32_t>(assignment[static_cast<std::size_t>(v)]));
+      auto& bucket = local[static_cast<std::size_t>(src_block) % shards];
+      for (const graph::Vertex target : graph.out_neighbors(v)) {
+        const auto dst_block = static_cast<std::uint64_t>(
+            static_cast<std::uint32_t>(
+                assignment[static_cast<std::size_t>(target)]));
+        ++bucket[(src_block << 32) | dst_block];
+      }
+    }
+  };
+  const std::int64_t chunk = chunk_vertices > 0
+                                 ? chunk_vertices
+                                 : std::max<std::int64_t>(v_count, 1);
+  for (std::int64_t begin = 0; begin < v_count; begin += chunk) {
+    const auto end =
+        static_cast<graph::Vertex>(std::min(begin + chunk, v_count));
+    util::omp_region(
+        [&] { phase_a(static_cast<graph::Vertex>(begin), end); });
+  }
+
+  BuildSlices slices;
+  slices.rows.resize(static_cast<std::size_t>(num_blocks));
+  slices.cols.resize(static_cast<std::size_t>(num_blocks));
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (std::size_t src = 0; src < shards; ++src) {
+      for (const auto& [key, count] : locals[src][s]) {
+        auto& row = slices.rows[static_cast<std::size_t>(key >> 32)];
+        const auto col = static_cast<BlockId>(key & 0xffffffffULL);
+        const auto it = std::find_if(
+            row.begin(), row.end(),
+            [col](const auto& entry) { return entry.first == col; });
+        if (it != row.end()) {
+          it->second += count;
+        } else {
+          row.emplace_back(col, count);
+        }
+      }
+    }
+  }
+  for (std::size_t src = 0; src < shards; ++src) {
+    for (auto r = static_cast<BlockId>(src); r < num_blocks;
+         r += static_cast<BlockId>(shards)) {
+      for (const auto& [col, value] :
+           slices.rows[static_cast<std::size_t>(r)]) {
+        slices.cols[static_cast<std::size_t>(col)].emplace_back(r, value);
+      }
+    }
+  }
+  return slices;
 }
 
 /// Pre-arena evaluate_vertex, for whole-chain equivalence: the proposal

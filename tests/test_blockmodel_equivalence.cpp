@@ -50,7 +50,7 @@ struct DensityCase {
 };
 
 /// Sparse, medium, and dense DCSBM graphs: density controls the
-/// neighbor-block fan-out k and hence how hard the stamped dedup and
+/// neighbor-block fan-out k and hence how hard the tallied dedup and
 /// the flat slices are exercised. At C = 6 every matrix carries the
 /// dense cell mirror, so the last two cases, with C·C > 16·nnz, keep
 /// the slice-probe lookup path under the same comparison.
@@ -104,7 +104,7 @@ TEST_P(KernelEquivalence, MoveKernelsBitIdenticalOnRandomMoves) {
         reference::hastings_correction(b, ref_nb, from, to, ref_delta);
 
     // Optimized chain: one scratch arena end to end.
-    gather_neighbor_blocks_into(g, view, v, scratch);
+    gather_neighbor_blocks_into(g, view, v, b.num_blocks(), scratch);
     EXPECT_EQ(scratch.nb.out, ref_nb.out);
     EXPECT_EQ(scratch.nb.in, ref_nb.in);
     EXPECT_EQ(scratch.nb.self_loops, ref_nb.self_loops);
@@ -112,21 +112,34 @@ TEST_P(KernelEquivalence, MoveKernelsBitIdenticalOnRandomMoves) {
     EXPECT_EQ(scratch.nb.degree_in, ref_nb.degree_in);
 
     vertex_move_delta_into(b, from, to, scratch.nb, scratch);
-    EXPECT_EQ(scratch.delta.delta_mdl, ref_delta.delta_mdl)
+    EXPECT_EQ(scratch.delta_mdl, ref_delta.delta_mdl)
         << "v=" << v << " from=" << from << " to=" << to;
-    ASSERT_EQ(scratch.delta.cell_deltas.size(), ref_delta.cell_deltas.size());
+    // The hot path keeps no cell list. Its staged pre/post values must
+    // follow the reference cell list position by position, which keeps
+    // the canonical cell order under test.
+    ASSERT_GE(scratch.batch.old_vals.size(), ref_delta.cell_deltas.size());
     for (std::size_t i = 0; i < ref_delta.cell_deltas.size(); ++i) {
-      EXPECT_EQ(scratch.delta.cell_deltas[i].row,
-                ref_delta.cell_deltas[i].row);
-      EXPECT_EQ(scratch.delta.cell_deltas[i].col,
-                ref_delta.cell_deltas[i].col);
-      EXPECT_EQ(scratch.delta.cell_deltas[i].delta,
-                ref_delta.cell_deltas[i].delta);
+      const CellDelta& cd = ref_delta.cell_deltas[i];
+      const Count before = b.matrix().get(cd.row, cd.col);
+      EXPECT_EQ(scratch.batch.old_vals[i], before) << "cell " << i;
+      EXPECT_EQ(scratch.batch.new_vals[i], before + cd.delta) << "cell " << i;
     }
 
     const double opt_corr = sbp::hastings_correction(b, from, to, scratch);
     EXPECT_EQ(opt_corr, ref_corr) << "v=" << v << " from=" << from
                                   << " to=" << to;
+
+    // The by-value API builds the cell list off the hot path, in the
+    // same canonical order.
+    const MoveDelta by_value = vertex_move_delta(b, from, to, ref_nb);
+    EXPECT_EQ(by_value.delta_mdl, ref_delta.delta_mdl);
+    ASSERT_EQ(by_value.cell_deltas.size(), ref_delta.cell_deltas.size());
+    for (std::size_t i = 0; i < ref_delta.cell_deltas.size(); ++i) {
+      EXPECT_EQ(by_value.cell_deltas[i].row, ref_delta.cell_deltas[i].row);
+      EXPECT_EQ(by_value.cell_deltas[i].col, ref_delta.cell_deltas[i].col);
+      EXPECT_EQ(by_value.cell_deltas[i].delta,
+                ref_delta.cell_deltas[i].delta);
+    }
 
     // The O(1) post-move lookup must agree with the scanning reference
     // on every cell of the affected rows/columns.

@@ -163,8 +163,8 @@ TEST_P(ChainEquivalence, OptimizedChainMatchesReferenceChain) {
       // how often the bound alone rejects.
       if (size > 1) {
         util::Rng probe = opt.rng;
-        blockmodel::gather_neighbor_blocks_into(g.graph, view_opt, v,
-                                                probe_scratch);
+        blockmodel::gather_neighbor_blocks_into(
+            g.graph, view_opt, v, opt.b.num_blocks(), probe_scratch);
         const auto to =
             propose_block(opt.b, probe_scratch.nb, from, false, probe);
         if (to != from) {
@@ -172,7 +172,7 @@ TEST_P(ChainEquivalence, OptimizedChainMatchesReferenceChain) {
           blockmodel::vertex_move_delta_into(opt.b, from, to,
                                              probe_scratch.nb, probe_scratch);
           const double bound =
-              std::exp(-beta * probe_scratch.delta.delta_mdl) *
+              std::exp(-beta * probe_scratch.delta_mdl) *
               hastings_bound(opt.b, g.graph.num_edges(), from,
                              probe_scratch.nb.degree_total());
           if (bound < 1.0 && probe.uniform() >= bound) ++early_rejected;

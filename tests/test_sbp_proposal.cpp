@@ -184,7 +184,7 @@ BoundCase bound_case(const Graph& g, const Blockmodel& b,
                      BlockId to, blockmodel::MoveScratch& scratch) {
   const BlockId from = labels[static_cast<std::size_t>(v)];
   const blockmodel::FlatMembershipView view{labels.data()};
-  blockmodel::gather_neighbor_blocks_into(g, view, v, scratch);
+  blockmodel::gather_neighbor_blocks_into(g, view, v, b.num_blocks(), scratch);
   blockmodel::vertex_move_delta_into(b, from, to, scratch.nb, scratch);
   BoundCase out;
   out.correction = hastings_correction(b, from, to, scratch);
