@@ -325,7 +325,7 @@ void BM_SerialMhPass(benchmark::State& state) {
       const auto result = hsbp::sbp::evaluate_vertex(
           f.generated.graph, f.blockmodel, view, v,
           f.blockmodel.block_size(f.blockmodel.block_of(v)), 3.0,
-          rngs.stream(0));
+          rngs.stream(0), hsbp::blockmodel::thread_move_scratch());
       if (result.moved) f.blockmodel.move_vertex(f.generated.graph, v, result.to);
     }
   }

@@ -7,10 +7,10 @@
 ///
 /// Tracked-benchmark mode: `--json PATH` writes one machine-readable
 /// entry per thread count, which scripts/bench_kernels.sh folds into
-/// BENCH_kernels.json; `--schedule static|dynamic|guided|degree-sorted`
-/// selects the async-pass loop schedule (DESIGN §13) so the static
-/// baseline and the degree-aware schedules can be compared on the same
-/// skewed-degree graph.
+/// BENCH_kernels.json; `--schedule static|degree-sorted` selects the
+/// async-pass loop schedule (DESIGN §13) so the static baseline and the
+/// degree-aware schedule can be compared on the same skewed-degree
+/// graph.
 #include <omp.h>
 
 #include <algorithm>
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   const auto schedule = hsbp::sbp::parse_schedule(schedule_arg);
   if (!schedule) {
     std::fprintf(stderr,
-                 "unknown --schedule '%s' (expected static|dynamic|guided|"
-                 "degree-sorted)\n",
+                 "unknown --schedule '%s' (expected static|degree-sorted)\n",
                  schedule_arg.c_str());
     return 2;
   }

@@ -70,7 +70,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # §10) is raw strided indexing into a C×C array, read by every ΔMDL,
 # Hastings and merge kernel, and the gather's and the build's per-block
 # tallies are raw int32 arrays indexed by block id without bounds
-# checks, sized from the block count.
+# checks, sized from the block count. The phase-equivalence suite runs
+# there too: the pass loop cuts its vertex lists into slices and
+# mirrors serial moves into a workspace by raw vertex and block index.
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   FAULT_DIR="${BUILD_DIR}-fault-asan"
   cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined
@@ -78,7 +80,8 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
   "$FAULT_DIR/tests/test_blockmodel" \
     --gtest_filter='DictTransposeMatrix*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
-  "$FAULT_DIR/tests/test_sbp" --gtest_filter='*DeltaApplyBitIdentity*'
+  "$FAULT_DIR/tests/test_sbp" \
+    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*'
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel
@@ -101,9 +104,10 @@ fi
 # vector level the host supports (DESIGN §13). The suites also force
 # levels internally via set_level(); running them under both env
 # overrides additionally proves the HSBP_SIMD startup plumbing resolves
-# and clamps correctly on this host. The whole-chain equivalence and
-# Hastings-bound suites run under both levels too: early rejection
-# (DESIGN §10) compares its bound against the SIMD-reduced correction.
+# and clamps correctly on this host. The whole-chain and phase
+# equivalence and Hastings-bound suites run under both levels too:
+# early rejection (DESIGN §10) compares its bound against the
+# SIMD-reduced correction.
 if [[ "${HSBP_SKIP_SIMD:-0}" != "1" ]]; then
   # "avx2" is a request for the highest level; on hosts without AVX2 the
   # dispatcher clamps it down to the best supported vector path (with a
@@ -113,7 +117,7 @@ if [[ "${HSBP_SKIP_SIMD:-0}" != "1" ]]; then
     HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_blockmodel" \
       --gtest_filter='XlogxTable.*:*KernelEquivalence*:Simd*:*SimdKernel*'
     HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_sbp" \
-      --gtest_filter='*ChainEquivalence*:*HastingsBound*'
+      --gtest_filter='*ChainEquivalence*:*PhaseEquivalence*:*HastingsBound*'
   done
 fi
 

@@ -65,7 +65,7 @@ std::vector<RankUpdates> distributed_pass(
         const BlockId from = view(v);
         const auto outcome = sbp::evaluate_vertex(
             graph, b, view, v, sizes[static_cast<std::size_t>(from)], beta,
-            rng);
+            rng, blockmodel::thread_move_scratch());
         ++local.proposals;
         if (!outcome.moved) continue;
         overrides[v] = outcome.to;

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "blockmodel/mdl.hpp"
-#include "sbp/mcmc_common.hpp"
+#include "sbp/mcmc_phases.hpp"
 #include "sbp/streaming.hpp"
 #include "util/timer.hpp"
 
@@ -286,25 +288,26 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
       blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
   if (config.finetune_max_iterations > 0) {
     util::Rng rng(config.base.seed ^ 0x00c0ffee00c0ffeeULL);
-    blockmodel::MoveScratch& scratch = blockmodel::thread_move_scratch();
-    const blockmodel::FlatMembershipView view{model.assignment().data()};
     sbp::ConvergenceWindow window(config.finetune_threshold);
+    // One serial sweep per `chunk_vertices` ids, releasing the mapped
+    // pages between chunks; the tally sums the pass ΔMDL across chunks.
+    const Vertex v_count = graph.num_vertices();
+    std::vector<Vertex> ids(static_cast<std::size_t>(
+        std::min(config.chunk_vertices, v_count)));
     for (int pass = 0; pass < config.finetune_max_iterations; ++pass) {
-      double pass_delta = 0.0;
-      for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-        const auto outcome = sbp::evaluate_vertex(
-            graph, model, view, v, model.block_size(model.block_of(v)),
-            config.base.beta, rng, scratch);
-        if (outcome.moved) {
-          model.move_vertex(graph, v, outcome.to);
-          pass_delta += outcome.delta_mdl;
-          ++out.finetune_moves;
-        }
-        if ((v + 1) % config.chunk_vertices == 0) release(config);
+      sbp::SweepTally tally;
+      for (Vertex begin = 0; begin < v_count;) {
+        const Vertex size = std::min(config.chunk_vertices, v_count - begin);
+        const std::span<Vertex> chunk(ids.data(),
+                                      static_cast<std::size_t>(size));
+        std::iota(chunk.begin(), chunk.end(), begin);
+        sbp::serial_sweep(graph, model, chunk, config.base.beta, rng, tally);
+        release(config);
+        begin += size;
       }
-      release(config);
-      current_mdl += pass_delta;
-      if (window.record(pass_delta, current_mdl)) break;
+      out.finetune_moves += tally.accepted;
+      current_mdl += tally.delta_mdl;
+      if (window.record(tally.delta_mdl, current_mdl)) break;
     }
   }
   out.assignment = model.copy_assignment();

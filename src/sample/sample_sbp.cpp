@@ -14,9 +14,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/fault_injector.hpp"
 #include "ckpt/shutdown.hpp"
-#include "graph/degree.hpp"
-#include "sbp/mcmc_phases.hpp"
-#include "sbp/vertex_selection.hpp"
 #include "util/errors.hpp"
 #include "util/logger.hpp"
 #include "util/timer.hpp"
@@ -83,22 +80,8 @@ sbp::PhaseOutcome finetune(const Graph& graph, Blockmodel& model,
                      static_cast<std::size_t>(
                          std::max(1, omp_get_max_threads())));
 
-  switch (config.base.variant) {
-    case sbp::Variant::Metropolis:
-      return sbp::metropolis_hastings_phase(graph, model, settings, rngs);
-    case sbp::Variant::AsyncGibbs:
-      return sbp::async_gibbs_phase(graph, model, settings, rngs);
-    case sbp::Variant::Hybrid: {
-      const graph::DegreeSplit split = sbp::select_hybrid_vertices(
-          graph, config.base.hybrid_fraction, config.base.hybrid_selection,
-          config.base.seed);
-      return sbp::hybrid_phase(graph, model, settings, split, rngs);
-    }
-    case sbp::Variant::BatchedGibbs:
-      return sbp::batched_gibbs_phase(graph, model, settings,
-                                      config.base.batch_count, rngs);
-  }
-  throw std::logic_error("sample::run: unknown variant");
+  return sbp::run_mcmc_phase(graph, model, config.base, settings,
+                             sbp::hybrid_split(graph, config.base), rngs);
 }
 
 ckpt::SampleCheckpoint pipeline_checkpoint(const Graph& graph,

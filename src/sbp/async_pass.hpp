@@ -1,7 +1,8 @@
 /// \file async_pass.hpp
 /// \brief Internal: one asynchronous-Gibbs pass over a vertex set plus
-/// the pass-to-pass blockmodel maintenance around it, shared by the
-/// A-SBP phase, the parallel half of the H-SBP phase, and B-SBP.
+/// the pass-to-pass blockmodel maintenance around it: the asynchronous
+/// slices of the pass loop (mcmc_phases.cpp) behind A-SBP, the parallel
+/// half of H-SBP, and B-SBP.
 ///
 /// The pass reads/writes a shared membership vector with relaxed
 /// atomics: every vertex is owned by exactly one loop index (so its own
@@ -151,8 +152,9 @@ struct PassWorkspace {
   }
 
   /// Mirrors a serially applied b.move_vertex(v, from → to) into the
-  /// workspace, keeping the between-pass invariant when a synchronous
-  /// sweep (H-SBP's high-degree half) interleaves with async passes.
+  /// workspace, keeping the between-pass invariant when a serial sweep
+  /// (serial_sweep; H-SBP's high-degree half) interleaves with async
+  /// passes.
   void sync_move(graph::Vertex v, blockmodel::BlockId from,
                  blockmodel::BlockId to) {
     shared[static_cast<std::size_t>(v)].store(to, std::memory_order_relaxed);
@@ -175,13 +177,12 @@ inline constexpr double kDefaultRebuildThreshold = 0.25;
 /// carry the evolving memberships, and every accepted move is logged in
 /// the executing thread's `ws.logs` entry (cleared here at pass start).
 /// `schedule` picks the work distribution (see schedule.hpp): the
-/// default Static keeps the vertex→thread→RNG mapping deterministic for
-/// a fixed thread count; Dynamic/Guided trade that for load balance on
-/// skewed degree distributions (the paper's §5.5 remark), and
-/// DegreeSorted deals the heavy vertices round-robin while staying
-/// deterministic. The evolving-membership semantics are identical in
-/// every mode — only which thread evaluates which vertex (and hence
-/// which staleness interleavings occur) changes.
+/// default Static gives each thread a contiguous range; DegreeSorted
+/// deals the heavy vertices round-robin for load balance on skewed
+/// degree distributions (the paper's §5.5 remark). The evolving-
+/// membership semantics are identical in both — only which thread
+/// evaluates which vertex (and hence which staleness interleavings
+/// occur) changes.
 inline AsyncPassCounters async_pass(
     const graph::GraphView& graph, const blockmodel::Blockmodel& b,
     PassWorkspace& ws, std::span<const graph::Vertex> vertices, double beta,
@@ -258,18 +259,6 @@ inline AsyncPassCounters async_pass(
     // Every thread takes the same branch (schedule is uniform across
     // the team), so the team encounters one worksharing construct.
     switch (schedule) {
-      case PassSchedule::Dynamic:
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
-      case PassSchedule::Guided:
-#pragma omp for schedule(guided) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
       case PassSchedule::DegreeSorted:
         // The list is degree-descending; chunk size 1 deals it
         // round-robin so each thread gets an even heavy/light mix.

@@ -1,6 +1,6 @@
 /// \file mcmc_common.hpp
-/// \brief Machinery shared by the three MCMC phases: the per-vertex
-/// propose/evaluate/accept step and the convergence window.
+/// \brief Machinery shared by the MCMC phases and the D-SBP pass: the
+/// per-vertex propose/evaluate/accept step and the convergence window.
 #pragma once
 
 #include <array>
@@ -23,8 +23,7 @@ struct McmcSettings {
   double beta = 3.0;
   double threshold = 1e-4;   ///< t in "ΔMDL < t × MDL"
   int max_iterations = 100;  ///< x in Algs. 2–4
-  /// Work distribution of the asynchronous passes (load balance vs.
-  /// reproducibility; see schedule.hpp and SbpConfig::schedule).
+  /// Work distribution of the asynchronous passes (schedule.hpp).
   PassSchedule schedule = PassSchedule::Static;
   /// Adaptive pass-apply fallback: rebuild the blockmodel instead of
   /// applying move deltas when a pass moved more than this fraction of
@@ -100,17 +99,6 @@ VertexOutcome evaluate_vertex(const graph::GraphView& graph,
     outcome.delta_mdl = scratch.delta_mdl;
   }
   return outcome;
-}
-
-/// Convenience overload using the calling thread's scratch arena.
-template <typename View>
-VertexOutcome evaluate_vertex(const graph::GraphView& graph,
-                              const blockmodel::Blockmodel& b,
-                              const View& view, graph::Vertex v,
-                              std::int32_t source_block_size, double beta,
-                              util::Rng& rng) {
-  return evaluate_vertex(graph, b, view, v, source_block_size, beta, rng,
-                         blockmodel::thread_move_scratch());
 }
 
 /// The paper's early-stopping rule: stop when the summed |ΔMDL| of the

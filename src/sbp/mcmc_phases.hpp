@@ -1,7 +1,12 @@
 /// \file mcmc_phases.hpp
-/// \brief The three MCMC phases of the paper (Algs. 2–4). Each refines
-/// the blockmodel in place and reports pass/acceptance counters.
+/// \brief The MCMC phases of the paper (Algs. 2–4) and B-SBP. Each
+/// refines the blockmodel in place and reports pass/acceptance
+/// counters; all four are plans over one pass loop (mcmc_phases.cpp,
+/// DESIGN §1).
 #pragma once
+
+#include <cstdint>
+#include <span>
 
 #include "blockmodel/blockmodel.hpp"
 #include "graph/degree.hpp"
@@ -11,6 +16,10 @@
 
 namespace hsbp::sbp {
 
+namespace detail {
+struct PassWorkspace;
+}  // namespace detail
+
 /// Extended phase counters including the Amdahl accounting (how many
 /// vertex updates ran inside a parallel region vs. serially).
 struct PhaseOutcome {
@@ -18,6 +27,22 @@ struct PhaseOutcome {
   std::int64_t parallel_updates = 0;
   std::int64_t serial_updates = 0;
 };
+
+/// Running totals of serial_sweep, accumulated across calls: a sweep
+/// cut into chunks sums its ΔMDL to the same bits as one whole sweep.
+struct SweepTally {
+  std::int64_t proposals = 0;
+  std::int64_t accepted = 0;
+  double delta_mdl = 0.0;  ///< Σ ΔMDL of the accepted moves, in order
+};
+
+/// Serial Metropolis-Hastings sweep over `vertices`, in order, against
+/// fresh state: accepted moves are applied in place, and mirrored into
+/// `mirror` (the workspace of asynchronous slices that follow) if set.
+void serial_sweep(const graph::GraphView& graph, blockmodel::Blockmodel& b,
+                  std::span<const graph::Vertex> vertices, double beta,
+                  util::Rng& rng, SweepTally& tally,
+                  detail::PassWorkspace* mirror = nullptr);
 
 /// Paper Alg. 2 — serial Metropolis-Hastings. Every accepted move
 /// updates the blockmodel in place; proposals always see fresh state.
@@ -30,7 +55,7 @@ PhaseOutcome metropolis_hastings_phase(const graph::GraphView& graph,
 /// per iteration: proposals are evaluated against the stale blockmodel
 /// and a shared membership vector updated with relaxed atomics (other
 /// threads' in-pass moves may or may not be visible — the "asynchronous"
-/// in the name); the blockmodel is rebuilt in parallel after each pass.
+/// in the name); the blockmodel is brought up to date at pass end.
 PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
                                blockmodel::Blockmodel& b,
                                const McmcSettings& settings,
@@ -38,7 +63,8 @@ PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
 
 /// Paper Alg. 4 — hybrid (H-SBP): `split.high` (the top-degree vertices)
 /// is processed first, serially and in place; `split.low` then runs as
-/// one asynchronous pass; the blockmodel is rebuilt at pass end.
+/// one asynchronous pass; the blockmodel is brought up to date at pass
+/// end.
 PhaseOutcome hybrid_phase(const graph::GraphView& graph,
                           blockmodel::Blockmodel& b,
                           const McmcSettings& settings,
@@ -47,7 +73,7 @@ PhaseOutcome hybrid_phase(const graph::GraphView& graph,
 
 /// B-SBP — the batched asynchronous Gibbs the paper's conclusion
 /// proposes as future work: each pass is `batch_count` parallel sweeps
-/// over random slices of the vertex set with a blockmodel rebuild
+/// over random slices of the vertex set with a blockmodel update
 /// between slices, bounding staleness to 1/batch_count of a pass with
 /// no serial section at all.
 PhaseOutcome batched_gibbs_phase(const graph::GraphView& graph,

@@ -12,10 +12,8 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/fault_injector.hpp"
 #include "ckpt/shutdown.hpp"
-#include "graph/degree.hpp"
 #include "sbp/block_merge.hpp"
 #include "sbp/golden_search.hpp"
-#include "sbp/mcmc_phases.hpp"
 #include "util/errors.hpp"
 #include "util/logger.hpp"
 #include "util/timer.hpp"
@@ -66,25 +64,6 @@ void validate(const Graph& graph, const SbpConfig& config) {
   }
 }
 
-PhaseOutcome run_mcmc_phase(const Graph& graph, Blockmodel& b,
-                            const SbpConfig& config,
-                            const McmcSettings& settings,
-                            const graph::DegreeSplit& split,
-                            util::RngPool& rngs) {
-  switch (config.variant) {
-    case Variant::Metropolis:
-      return metropolis_hastings_phase(graph, b, settings, rngs);
-    case Variant::AsyncGibbs:
-      return async_gibbs_phase(graph, b, settings, rngs);
-    case Variant::Hybrid:
-      return hybrid_phase(graph, b, settings, split, rngs);
-    case Variant::BatchedGibbs:
-      return batched_gibbs_phase(graph, b, settings, config.batch_count,
-                                 rngs);
-  }
-  throw std::logic_error("sbp::run: unknown variant");
-}
-
 /// Evaluated cold-start partition: every vertex in its own block.
 Snapshot cold_initial(const Graph& graph) {
   Blockmodel identity = Blockmodel::identity(graph);
@@ -122,11 +101,7 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
     rngs.restore_states(rng_states);
   }
 
-  graph::DegreeSplit split;
-  if (config.variant == Variant::Hybrid) {
-    split = select_hybrid_vertices(graph, config.hybrid_fraction,
-                                   config.hybrid_selection, config.seed);
-  }
+  const graph::DegreeSplit split = hybrid_split(graph, config);
 
   SbpResult result;
   SbpStats& stats = result.stats;
@@ -237,6 +212,33 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
 }
 
 }  // namespace
+
+graph::DegreeSplit hybrid_split(const graph::GraphView& graph,
+                                const SbpConfig& config) {
+  if (config.variant != Variant::Hybrid) return {};
+  return select_hybrid_vertices(graph, config.hybrid_fraction,
+                                config.hybrid_selection, config.seed);
+}
+
+// Apart from mcmc_phases.cpp: ld --wrap traces only cross-object calls.
+PhaseOutcome run_mcmc_phase(const graph::GraphView& graph, Blockmodel& b,
+                            const SbpConfig& config,
+                            const McmcSettings& settings,
+                            const graph::DegreeSplit& split,
+                            util::RngPool& rngs) {
+  switch (config.variant) {
+    case Variant::Metropolis:
+      return metropolis_hastings_phase(graph, b, settings, rngs);
+    case Variant::AsyncGibbs:
+      return async_gibbs_phase(graph, b, settings, rngs);
+    case Variant::Hybrid:
+      return hybrid_phase(graph, b, settings, split, rngs);
+    case Variant::BatchedGibbs:
+      return batched_gibbs_phase(graph, b, settings, config.batch_count,
+                                 rngs);
+  }
+  throw std::logic_error("sbp::run: unknown variant");
+}
 
 SbpResult run(const Graph& graph, const SbpConfig& config) {
   return run(graph, config, ckpt::CheckpointConfig{});

@@ -1,14 +1,17 @@
 /// \file sbp.hpp
-/// \brief Public entry point: stochastic block partitioning and its two
-/// parallel MCMC variants from the paper.
+/// \brief Public entry point: stochastic block partitioning, its two
+/// parallel MCMC variants from the paper, and the batched variant its
+/// conclusion proposes.
 ///
-///   Variant::Metropolis  — baseline SBP (paper Alg. 2): serial
-///                          Metropolis-Hastings MCMC phase.
-///   Variant::AsyncGibbs  — A-SBP (paper Alg. 3): one parallel pass per
-///                          iteration against a stale blockmodel,
-///                          parallel rebuild at pass end.
-///   Variant::Hybrid      — H-SBP (paper Alg. 4): high-degree vertices
-///                          serial-first, the rest asynchronous.
+///   Variant::Metropolis   — baseline SBP (paper Alg. 2): serial
+///                           Metropolis-Hastings MCMC phase.
+///   Variant::AsyncGibbs   — A-SBP (paper Alg. 3): one parallel pass per
+///                           iteration against a stale blockmodel,
+///                           blockmodel update at pass end.
+///   Variant::Hybrid       — H-SBP (paper Alg. 4): high-degree vertices
+///                           serial-first, the rest asynchronous.
+///   Variant::BatchedGibbs — B-SBP: A-SBP's pass cut into K slices, the
+///                           blockmodel updated after each.
 ///
 /// Typical use:
 /// \code
@@ -26,6 +29,8 @@
 #include "blockmodel/blockmodel.hpp"
 #include "ckpt/config.hpp"
 #include "graph/graph.hpp"
+#include "graph/view.hpp"
+#include "sbp/mcmc_phases.hpp"
 #include "sbp/schedule.hpp"
 #include "sbp/vertex_selection.hpp"
 
@@ -79,10 +84,11 @@ struct SbpConfig {
   int batch_count = 4;
 
   /// Work distribution of the asynchronous passes (schedule.hpp).
-  /// Dynamic/Guided improve load balance on skewed degree distributions
-  /// (the paper's §5.5 observation) at the cost of run-to-run
-  /// reproducibility; DegreeSorted balances hubs across threads while
-  /// staying deterministic at a fixed thread count.
+  /// DegreeSorted deals the hubs round-robin across threads for load
+  /// balance on skewed degree distributions (the paper's §5.5
+  /// observation). Neither schedule makes a multi-threaded asynchronous
+  /// run reproducible: it fixes which thread draws for which vertex,
+  /// but the in-pass membership reads race by design.
   PassSchedule schedule = PassSchedule::Static;
 
   std::uint64_t seed = 0;
@@ -139,5 +145,20 @@ SbpResult run(const graph::Graph& graph, const SbpConfig& config);
 /// wrong-graph/wrong-config snapshot.
 SbpResult run(const graph::Graph& graph, const SbpConfig& config,
               const ckpt::CheckpointConfig& checkpoint);
+
+/// H-SBP's serial/asynchronous vertex split for `config`; empty for the
+/// other variants.
+graph::DegreeSplit hybrid_split(const graph::GraphView& graph,
+                                const SbpConfig& config);
+
+/// Runs one MCMC phase of `config.variant` on `b`: the Variant→phase
+/// switch shared by run() and the SamBaS fine-tune. `split` is
+/// hybrid_split(graph, config).
+PhaseOutcome run_mcmc_phase(const graph::GraphView& graph,
+                            blockmodel::Blockmodel& b,
+                            const SbpConfig& config,
+                            const McmcSettings& settings,
+                            const graph::DegreeSplit& split,
+                            util::RngPool& rngs);
 
 }  // namespace hsbp::sbp

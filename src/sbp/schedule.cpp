@@ -8,10 +8,6 @@ const char* schedule_name(PassSchedule schedule) noexcept {
   switch (schedule) {
     case PassSchedule::Static:
       return "static";
-    case PassSchedule::Dynamic:
-      return "dynamic";
-    case PassSchedule::Guided:
-      return "guided";
     case PassSchedule::DegreeSorted:
       return "degree-sorted";
   }
@@ -20,8 +16,6 @@ const char* schedule_name(PassSchedule schedule) noexcept {
 
 std::optional<PassSchedule> parse_schedule(std::string_view name) noexcept {
   if (name == "static") return PassSchedule::Static;
-  if (name == "dynamic") return PassSchedule::Dynamic;
-  if (name == "guided") return PassSchedule::Guided;
   if (name == "degree-sorted" || name == "degree_sorted") {
     return PassSchedule::DegreeSorted;
   }

@@ -1,24 +1,21 @@
 /// \file schedule.hpp
-/// \brief Work-distribution policy for the asynchronous MCMC passes
-/// (DESIGN §13).
+/// \brief Work distribution of the asynchronous MCMC passes (DESIGN §13).
 ///
 /// The async pass's default `schedule(static)` gives every thread one
-/// contiguous vertex range — deterministic (fixed vertex→thread→RNG
-/// mapping at a fixed thread count) but skew-blind: one hub-heavy chunk
-/// serializes the pass (the paper's §5.5 load-balancing remark). The
-/// alternatives trade determinism or ordering for balance:
+/// contiguous vertex range — skew-blind: one hub-heavy chunk serializes
+/// the pass (the paper's §5.5 load-balancing remark). The alternative
+/// balances the hubs:
 ///
-///   - Static:       contiguous chunks; deterministic; the default.
-///   - Dynamic:      `schedule(dynamic, 64)`; threads steal 64-vertex
-///                   chunks; nondeterministic assignment.
-///   - Guided:       `schedule(guided)`; geometrically shrinking chunks;
-///                   nondeterministic assignment, lower steal overhead
-///                   than Dynamic on long loops.
+///   - Static:       contiguous chunks; the default.
 ///   - DegreeSorted: vertices re-ordered by descending degree, then
-///                   dealt round-robin (`schedule(static, 1)`); the
-///                   heavy vertices spread across threads first, so the
-///                   mapping is again deterministic at a fixed thread
-///                   count — just a different one than Static.
+///                   dealt round-robin (`schedule(static, 1)`), so the
+///                   heavy vertices spread across threads first.
+///
+/// Both fix the vertex→thread→RNG-stream mapping for a given thread
+/// count. That does not make a multi-threaded pass reproducible: the
+/// in-pass membership reads race by design, so which moves a thread
+/// sees depends on timing. A one-thread pass is reproducible under
+/// either schedule.
 #pragma once
 
 #include <optional>
@@ -33,13 +30,11 @@ namespace hsbp::sbp {
 /// OpenMP work distribution of an asynchronous pass over its vertex set.
 enum class PassSchedule {
   Static,
-  Dynamic,
-  Guided,
   DegreeSorted,
 };
 
-/// Stable lowercase name ("static", "dynamic", "guided",
-/// "degree-sorted") — the CLI/bench spelling.
+/// Stable lowercase name ("static", "degree-sorted") — the CLI/bench
+/// spelling.
 const char* schedule_name(PassSchedule schedule) noexcept;
 
 /// Inverse of schedule_name; nullopt for unknown spellings.

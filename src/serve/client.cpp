@@ -143,15 +143,24 @@ bool Client::reconnect() noexcept {
 std::optional<std::string> Client::request(std::string_view payload,
                                            int timeout_ms) {
   if (fd_ < 0) return std::nullopt;
-  if (write_frame(fd_, payload, timeout_ms) != IoStatus::Ok) {
-    close();
-    return std::nullopt;
-  }
   std::string reply;
   // One deadline covers both waiting for the reply to start (idle) and
   // its remaining bytes (frame): a per-request budget, not per-phase.
-  if (read_frame(fd_, reply, FrameDeadline{timeout_ms, timeout_ms}) !=
-      IoStatus::Ok) {
+  const FrameDeadline deadline{timeout_ms, timeout_ms};
+  const IoStatus wrote = write_frame(fd_, payload, timeout_ms);
+  if (wrote != IoStatus::Ok) {
+    // A daemon over its session cap writes one busy frame and closes
+    // without reading, so our write can fail (EPIPE) with that frame
+    // still waiting in the receive buffer. It is the only frame the
+    // daemon sends unprompted.
+    const bool shed = wrote == IoStatus::Error &&
+                      read_frame(fd_, reply, deadline) == IoStatus::Ok &&
+                      is_busy(reply);
+    close();
+    if (shed) return reply;
+    return std::nullopt;
+  }
+  if (read_frame(fd_, reply, deadline) != IoStatus::Ok) {
     // A timed-out connection is unusable: a late reply arriving after
     // we moved on would be mistaken for the next request's answer.
     close();

@@ -9,7 +9,10 @@
 /// std::log, MoveDelta::new_value via a cell-list scan, the Hastings
 /// correction on top of it, and merge_delta_mdl with live std::log —
 /// plus the blockmodel build's per-edge edge scan, down to the entry
-/// order of every slice it fills. The optimized kernels must be
+/// order of every slice it fills, and the four MCMC phase loops as they
+/// were written before they became plans over one pass loop (these call
+/// the production per-vertex step and async pass, so they pin the loop
+/// structure, not the kernels). The optimized kernels must be
 /// *bit-identical* to these — that is the contract that makes the
 /// rewrite a pure performance change — so the tests compare results
 /// with ==, not EXPECT_NEAR.
@@ -34,6 +37,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -43,7 +47,9 @@
 #include "blockmodel/mdl.hpp"
 #include "blockmodel/vertex_move_delta.hpp"
 #include "graph/graph.hpp"
+#include "sbp/async_pass.hpp"
 #include "sbp/mcmc_common.hpp"
+#include "sbp/mcmc_phases.hpp"
 #include "sbp/proposal.hpp"
 #include "util/omp_region.hpp"
 #include "util/rng.hpp"
@@ -411,6 +417,191 @@ sbp::VertexOutcome evaluate_vertex(const graph::Graph& graph,
     outcome.to = to;
     outcome.delta_mdl = delta.delta_mdl;
   }
+  return outcome;
+}
+
+/// Pre-engine serial Metropolis-Hastings phase (paper Alg. 2): the pass
+/// ΔMDL is the sum of the accepted moves' ΔMDL, and the reported final
+/// MDL the exact one.
+inline sbp::PhaseOutcome metropolis_hastings_phase(
+    const graph::GraphView& graph, Blockmodel& b,
+    const sbp::McmcSettings& settings, util::RngPool& rngs) {
+  sbp::PhaseOutcome outcome;
+  sbp::McmcPhaseStats& stats = outcome.stats;
+  stats.initial_mdl = blockmodel::mdl(b, graph.num_vertices(),
+                                      graph.num_edges());
+  double current_mdl = stats.initial_mdl;
+  sbp::ConvergenceWindow window(settings.threshold);
+  util::Rng& rng = rngs.stream(0);
+  blockmodel::MoveScratch& scratch = blockmodel::thread_move_scratch();
+  const blockmodel::FlatMembershipView view{b.assignment().data()};
+
+  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+    double pass_delta = 0.0;
+    for (graph::Vertex v = 0; v < graph.num_vertices(); ++v) {
+      const auto result =
+          sbp::evaluate_vertex(graph, b, view, v, b.block_size(b.block_of(v)),
+                               settings.beta, rng, scratch);
+      ++stats.proposals;
+      if (result.moved) {
+        b.move_vertex(graph, v, result.to);
+        pass_delta += result.delta_mdl;
+        ++stats.accepted;
+      }
+    }
+    ++stats.iterations;
+    outcome.serial_updates += graph.num_vertices();
+    current_mdl += pass_delta;
+    if (window.record(pass_delta, current_mdl)) break;
+  }
+  stats.final_mdl =
+      blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  return outcome;
+}
+
+/// Pre-engine asynchronous Gibbs phase (paper Alg. 3).
+inline sbp::PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
+                                           Blockmodel& b,
+                                           const sbp::McmcSettings& settings,
+                                           util::RngPool& rngs) {
+  sbp::PhaseOutcome outcome;
+  sbp::McmcPhaseStats& stats = outcome.stats;
+  stats.initial_mdl =
+      blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  double current_mdl = stats.initial_mdl;
+  sbp::ConvergenceWindow window(settings.threshold);
+
+  std::vector<graph::Vertex> vertices(
+      static_cast<std::size_t>(graph.num_vertices()));
+  std::iota(vertices.begin(), vertices.end(), 0);
+  sbp::detail::PassWorkspace ws;
+  ws.reset(b);
+
+  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+    const auto counters =
+        sbp::detail::async_pass(graph, b, ws, vertices, settings.beta, rngs,
+                                settings.schedule);
+    stats.proposals += counters.proposals;
+    stats.accepted += counters.accepted;
+    outcome.parallel_updates += graph.num_vertices();
+
+    sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+    const double new_mdl =
+        blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+    const double pass_delta = new_mdl - current_mdl;
+    current_mdl = new_mdl;
+    ++stats.iterations;
+    if (window.record(pass_delta, current_mdl)) break;
+  }
+  stats.final_mdl = current_mdl;
+  return outcome;
+}
+
+/// Pre-engine hybrid phase (paper Alg. 4): a serial in-place sweep of
+/// `split.high` mirrored into the workspace, then one asynchronous pass
+/// over `split.low`.
+inline sbp::PhaseOutcome hybrid_phase(const graph::GraphView& graph,
+                                      Blockmodel& b,
+                                      const sbp::McmcSettings& settings,
+                                      const graph::DegreeSplit& split,
+                                      util::RngPool& rngs) {
+  sbp::PhaseOutcome outcome;
+  sbp::McmcPhaseStats& stats = outcome.stats;
+  stats.initial_mdl =
+      blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  double current_mdl = stats.initial_mdl;
+  sbp::ConvergenceWindow window(settings.threshold);
+  util::Rng& serial_rng = rngs.stream(0);
+  blockmodel::MoveScratch& scratch = blockmodel::thread_move_scratch();
+  sbp::detail::PassWorkspace ws;
+  ws.reset(b);
+
+  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+    const blockmodel::FlatMembershipView fresh_view{b.assignment().data()};
+    for (const graph::Vertex v : split.high) {
+      const auto result =
+          sbp::evaluate_vertex(graph, b, fresh_view, v,
+                               b.block_size(b.block_of(v)), settings.beta,
+                               serial_rng, scratch);
+      ++stats.proposals;
+      if (result.moved) {
+        const auto from = b.block_of(v);
+        b.move_vertex(graph, v, result.to);
+        ws.sync_move(v, from, result.to);
+        ++stats.accepted;
+      }
+    }
+    outcome.serial_updates += static_cast<std::int64_t>(split.high.size());
+
+    const auto counters =
+        sbp::detail::async_pass(graph, b, ws, split.low, settings.beta, rngs,
+                                settings.schedule);
+    stats.proposals += counters.proposals;
+    stats.accepted += counters.accepted;
+    outcome.parallel_updates += static_cast<std::int64_t>(split.low.size());
+
+    sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+    const double new_mdl =
+        blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+    const double pass_delta = new_mdl - current_mdl;
+    current_mdl = new_mdl;
+    ++stats.iterations;
+    if (window.record(pass_delta, current_mdl)) break;
+  }
+  stats.final_mdl = current_mdl;
+  return outcome;
+}
+
+/// Pre-engine batched Gibbs phase (B-SBP): reshuffle from stream 0 every
+/// pass, then `batch_count` asynchronous slices, each applied at once.
+inline sbp::PhaseOutcome batched_gibbs_phase(
+    const graph::GraphView& graph, Blockmodel& b,
+    const sbp::McmcSettings& settings, int batch_count,
+    util::RngPool& rngs) {
+  sbp::PhaseOutcome outcome;
+  sbp::McmcPhaseStats& stats = outcome.stats;
+  stats.initial_mdl =
+      blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  double current_mdl = stats.initial_mdl;
+  sbp::ConvergenceWindow window(settings.threshold);
+
+  const auto v_count = static_cast<std::size_t>(graph.num_vertices());
+  std::vector<graph::Vertex> vertices(v_count);
+  std::iota(vertices.begin(), vertices.end(), 0);
+  const int batches = std::max(1, batch_count);
+  sbp::detail::PassWorkspace ws;
+  ws.reset(b);
+
+  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+    rngs.stream(0).shuffle(vertices);
+    for (int batch = 0; batch < batches; ++batch) {
+      const std::size_t begin = v_count * static_cast<std::size_t>(batch) /
+                                static_cast<std::size_t>(batches);
+      const std::size_t end =
+          v_count * static_cast<std::size_t>(batch + 1) /
+          static_cast<std::size_t>(batches);
+      if (begin == end) continue;
+
+      const std::span<const graph::Vertex> slice(vertices.data() + begin,
+                                                 end - begin);
+      const auto counters =
+          sbp::detail::async_pass(graph, b, ws, slice, settings.beta, rngs,
+                                  settings.schedule);
+      stats.proposals += counters.proposals;
+      stats.accepted += counters.accepted;
+      outcome.parallel_updates += static_cast<std::int64_t>(slice.size());
+
+      sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+    }
+
+    const double new_mdl =
+        blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+    const double pass_delta = new_mdl - current_mdl;
+    current_mdl = new_mdl;
+    ++stats.iterations;
+    if (window.record(pass_delta, current_mdl)) break;
+  }
+  stats.final_mdl = current_mdl;
   return outcome;
 }
 

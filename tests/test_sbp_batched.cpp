@@ -94,25 +94,5 @@ TEST(BatchedGibbs, EachPassCoversEveryVertexOnce) {
   EXPECT_EQ(outcome.parallel_updates, g.graph.num_vertices());
 }
 
-TEST(BatchedGibbs, DynamicScheduleAlsoConverges) {
-  const auto g = planted(85);
-  SbpConfig config;
-  config.variant = Variant::BatchedGibbs;
-  config.schedule = hsbp::sbp::PassSchedule::Dynamic;
-  config.seed = 6;
-  const auto result = run(g.graph, config);
-  EXPECT_GT(metrics::nmi(g.ground_truth, result.assignment), 0.8);
-}
-
-TEST(AsyncGibbs, DynamicScheduleAlsoConverges) {
-  const auto g = planted(86);
-  SbpConfig config;
-  config.variant = Variant::AsyncGibbs;
-  config.schedule = hsbp::sbp::PassSchedule::Dynamic;
-  config.seed = 6;
-  const auto result = run(g.graph, config);
-  EXPECT_GT(metrics::nmi(g.ground_truth, result.assignment), 0.8);
-}
-
 }  // namespace
 }  // namespace hsbp::sbp

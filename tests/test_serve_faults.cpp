@@ -229,6 +229,43 @@ TEST(ServeFaultShed, ConnectionCapShedsWithRetryAfterHint) {
   server.stop();
 }
 
+// The shed path as the client sees it when it loses the race: the
+// daemon writes its busy frame and closes before the request lands, so
+// the request's write fails (EPIPE) while the frame sits unread in the
+// client's receive buffer. A one-shot listener stands in for the
+// daemon, and is joined before the request, so the race always goes
+// that way.
+TEST(ServeFaultShed, BusyFrameSurvivesFailedRequestWrite) {
+  const std::string socket = unique_socket_path("oneshot");
+  ::unlink(socket.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  Client client = Client::connect_unix(socket);  // queued in the backlog
+  std::thread shedder([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    write_frame(fd, "ERR busy retry-after 9 sessions at cap", 1000);
+    ::close(fd);
+  });
+  shedder.join();
+  const auto reply = client.request("PING", /*timeout_ms=*/5000);
+  ::close(listener);
+  ::unlink(socket.c_str());
+
+  ASSERT_TRUE(reply.has_value());
+  int retry_after = -1;
+  EXPECT_TRUE(is_busy(*reply, &retry_after)) << *reply;
+  EXPECT_EQ(retry_after, 9);
+  EXPECT_FALSE(client.connected());
+}
+
 // max_pending_batches=0 is read-only mode: every INGEST is refused
 // with a busy reply while queries keep answering on the same session.
 TEST(ServeFaultShed, ZeroIngestBoundRefusesWritesButServesReads) {

@@ -159,7 +159,7 @@ hsbp::sbp::SbpConfig base_config(const Args& args) {
   const auto parsed = hsbp::sbp::parse_schedule(schedule);
   if (!parsed) {
     throw std::invalid_argument(
-        "--schedule must be static|dynamic|guided|degree-sorted, got '" +
+        "--schedule must be static|degree-sorted, got '" +
         schedule + "'");
   }
   config.schedule = *parsed;
@@ -240,7 +240,7 @@ int cmd_detect(const Args& args) {
     std::printf(
         "hsbp detect <graph-file> [--algorithm sbp|asbp|hsbp|bsbp] "
         "[--weighted] [--runs K] [--seed S] [--threads T] [--out FILE]\n"
-        "            [--schedule static|dynamic|guided|degree-sorted]\n"
+        "            [--schedule static|degree-sorted]\n"
         "            [--checkpoint FILE] [--checkpoint-every N] "
         "[--resume FILE]\n");
     return args.has("help") ? 0 : kExitUsage;
