@@ -27,15 +27,6 @@
 #include "sbp/proposal.hpp"
 #include "util/rng.hpp"
 
-// The gather/move-delta/Hastings benches measure the kernels exactly as
-// the phase loops invoke them. With the scratch-arena API present that
-// is the allocation-free *_into path; in older trees (this file doubles
-// as the before/after probe for the perf harness) it is the original
-// allocate-per-call path — each tree benches its own hot path.
-#if __has_include("blockmodel/flat_slice.hpp")
-#define HSBP_BENCH_HAVE_SCRATCH 1
-#endif
-
 namespace {
 
 using hsbp::blockmodel::BlockId;
@@ -120,7 +111,6 @@ void gather_bench(benchmark::State& state, const Fixture& f,
   const auto draw = [&] {
     return pool[static_cast<std::size_t>(rng.uniform_int(pool.size()))];
   };
-#ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
@@ -129,12 +119,6 @@ void gather_bench(benchmark::State& state, const Fixture& f,
         graph, view, draw(), f.blockmodel.num_blocks(), scratch);
     benchmark::DoNotOptimize(scratch.nb.degree_total());
   }
-#else
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hsbp::blockmodel::gather_neighbor_blocks(
-        graph, f.blockmodel.assignment(), draw()));
-  }
-#endif
   double degree = 0.0;
   for (const Vertex v : pool) {
     degree += static_cast<double>(graph.out_degree(v) + graph.in_degree(v));
@@ -164,7 +148,6 @@ void vertex_move_delta_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(2);
   const auto vertices =
       static_cast<std::uint64_t>(f.generated.graph.num_vertices());
-#ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
@@ -178,17 +161,6 @@ void vertex_move_delta_bench(benchmark::State& state, const Fixture& f) {
                                              scratch.nb, scratch);
     benchmark::DoNotOptimize(scratch.delta_mdl);
   }
-#else
-  for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
-    const BlockId from = f.blockmodel.block_of(v);
-    const BlockId to = other_block(f.blockmodel, from, rng);
-    const auto nb = hsbp::blockmodel::gather_neighbor_blocks(
-        f.generated.graph, f.blockmodel.assignment(), v);
-    benchmark::DoNotOptimize(
-        hsbp::blockmodel::vertex_move_delta(f.blockmodel, from, to, nb));
-  }
-#endif
 }
 
 void BM_VertexMoveDelta(benchmark::State& state) {
@@ -218,7 +190,6 @@ void hastings_correction_bench(benchmark::State& state, const Fixture& f) {
   hsbp::util::Rng rng(4);
   const auto vertices =
       static_cast<std::uint64_t>(f.generated.graph.num_vertices());
-#ifdef HSBP_BENCH_HAVE_SCRATCH
   hsbp::blockmodel::MoveScratch scratch;
   const auto assignment = f.blockmodel.assignment();
   const hsbp::blockmodel::FlatMembershipView view{assignment.data()};
@@ -233,19 +204,6 @@ void hastings_correction_bench(benchmark::State& state, const Fixture& f) {
     benchmark::DoNotOptimize(
         hsbp::sbp::hastings_correction(f.blockmodel, from, to, scratch));
   }
-#else
-  for (auto _ : state) {
-    const auto v = static_cast<Vertex>(rng.uniform_int(vertices));
-    const BlockId from = f.blockmodel.block_of(v);
-    const BlockId to = other_block(f.blockmodel, from, rng);
-    const auto nb = hsbp::blockmodel::gather_neighbor_blocks(
-        f.generated.graph, f.blockmodel.assignment(), v);
-    const auto delta =
-        hsbp::blockmodel::vertex_move_delta(f.blockmodel, from, to, nb);
-    benchmark::DoNotOptimize(
-        hsbp::sbp::hastings_correction(f.blockmodel, nb, from, to, delta));
-  }
-#endif
 }
 
 void BM_HastingsCorrection(benchmark::State& state) {

@@ -28,12 +28,6 @@
 #   HSBP_JOBS         build/test parallelism (default: nproc; a bare
 #                     `-j` spawns every job at once and thrashes small
 #                     machines)
-#   HSBP_SKIP_SIMD    set to 1 to skip the forced-dispatch stage that
-#                     reruns the kernel bit-identity tests under
-#                     HSBP_SIMD=scalar and under the best vector path
-#                     the host supports (the env override is the same
-#                     knob users have, so this also audits the
-#                     dispatch plumbing itself)
 #   HSBP_SKIP_OOC     set to 1 to skip the out-of-core smoke stage
 #                     (generate → convert → mmap fit in separate
 #                     processes with a peak-RSS budget assertion, plus
@@ -65,23 +59,28 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # (torn/oversized frames, injected disconnects, shed/reap paths).
 # Checkpoint and frame-I/O bugs are exactly the kind that only a
 # sanitizer catches (use-after-close, torn buffers). The same build
-# then runs the matrix, kernel-equivalence, delta-apply, build-order
-# and scratch-reuse suites: the blockmodel's dense cell mirror (DESIGN
-# §10) is raw strided indexing into a C×C array, read by every ΔMDL,
-# Hastings and merge kernel, and the gather's and the build's per-block
-# tallies are raw int32 arrays indexed by block id without bounds
-# checks, sized from the block count. The phase-equivalence suite runs
-# there too: the pass loop cuts its vertex lists into slices and
-# mirrors serial moves into a workspace by raw vertex and block index.
+# then runs the matrix, xlogx-table, kernel-equivalence, delta-apply,
+# build-order and scratch-reuse suites: the blockmodel's dense cell
+# mirror (DESIGN §10) is raw strided indexing into a C×C array, read by
+# every ΔMDL, Hastings and merge kernel, and the gather's and the
+# build's per-block tallies are raw int32 arrays indexed by block id
+# without bounds checks, sized from the block count. The
+# phase-equivalence suite runs there too: the pass loop cuts its vertex
+# lists into slices and mirrors serial moves into a workspace by raw
+# vertex and block index. This is a Debug build (the library keeps its
+# -O3), so it is also the stage that runs with asserts on: the chain-
+# equivalence and Hastings-bound suites feed stale A-SBP views, whose
+# negative staged counts no assert may reject (DESIGN §13).
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   FAULT_DIR="${BUILD_DIR}-fault-asan"
-  cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined
+  cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=Debug
   cmake --build "$FAULT_DIR" -j "$JOBS"
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
   "$FAULT_DIR/tests/test_blockmodel" \
-    --gtest_filter='DictTransposeMatrix*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
+    --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
-    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*'
+    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*'
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel
@@ -97,28 +96,6 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_TSAN:-0}" != "1" ]]; then
   (cd "$TSAN_DIR" &&
    OMP_NUM_THREADS="${HSBP_TSAN_THREADS:-4}" \
      ctest --output-on-failure -j "$JOBS" -L 'async|serve')
-fi
-
-# Stage 3a: forced-dispatch bit-identity — rerun the kernel equivalence
-# and SIMD suites with HSBP_SIMD pinned to scalar, then to the best
-# vector level the host supports (DESIGN §13). The suites also force
-# levels internally via set_level(); running them under both env
-# overrides additionally proves the HSBP_SIMD startup plumbing resolves
-# and clamps correctly on this host. The whole-chain and phase
-# equivalence and Hastings-bound suites run under both levels too:
-# early rejection (DESIGN §10) compares its bound against the
-# SIMD-reduced correction.
-if [[ "${HSBP_SKIP_SIMD:-0}" != "1" ]]; then
-  # "avx2" is a request for the highest level; on hosts without AVX2 the
-  # dispatcher clamps it down to the best supported vector path (with a
-  # warning), which is exactly the level we want audited.
-  for simd_level in scalar avx2; do
-    echo "== kernel bit-identity under HSBP_SIMD=$simd_level =="
-    HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_blockmodel" \
-      --gtest_filter='XlogxTable.*:*KernelEquivalence*:Simd*:*SimdKernel*'
-    HSBP_SIMD="$simd_level" "$BUILD_DIR/tests/test_sbp" \
-      --gtest_filter='*ChainEquivalence*:*PhaseEquivalence*:*HastingsBound*'
-  done
 fi
 
 # Stage 3b: serve smoke — start the real daemon on an ephemeral Unix

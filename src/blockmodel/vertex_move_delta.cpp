@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "blockmodel/simd_kernels.hpp"
 #include "blockmodel/xlogx_table.hpp"
 
 namespace hsbp::blockmodel {
@@ -53,14 +52,14 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
   // so the changed cells come out in one pass: non-corner out pairs,
   // then non-corner in pairs, then the nonzero corners. That order is
   // the canonical cell order (DESIGN §13) the reference kernels and the
-  // batched Hastings rescan both rely on.
+  // Hastings replay both rely on.
   //
   // No cell list is kept: each cell's (pre, post) value pair is staged
   // in that order — one lookup through a hoisted from/to line probe per
-  // cell (a dense mirror load when the matrix has one) — and the
-  // batched Hastings correction reads the staged values back instead of
-  // looking the cells up again. vertex_move_delta() rebuilds the list
-  // for the by-value API.
+  // cell (a dense mirror load when the matrix has one) — and its xlogx
+  // term is summed as it is staged. The Hastings correction reads the
+  // staged values back instead of looking the cells up again.
+  // vertex_move_delta() rebuilds the list for the by-value API.
   const DictTransposeMatrix& m = b.matrix();
   const auto row_from = m.row_probe(from);
   const auto row_to = m.row_probe(to);
@@ -71,11 +70,16 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
     batch.old_vals.resize(max_cells);
     batch.new_vals.resize(max_cells);
   }
+  // Terms accumulate in the canonical strided-4 order (DESIGN §13),
+  // which the reference kernels mirror.
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t n = 0;
   const auto stage = [&](Count delta, Count old_v) {
-    assert(old_v + delta >= 0);
+    // A stale A-SBP view can stage a negative count: NaN, rejected (§13).
+    const Count new_v = old_v + delta;
     batch.old_vals[n] = old_v;
-    batch.new_vals[n] = old_v + delta;
+    batch.new_vals[n] = new_v;
+    lanes[n & 3] += xlogx_count(new_v) - xlogx_count(old_v);
     ++n;
   };
 
@@ -111,12 +115,7 @@ void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
   if (d_ft != 0) stage(d_ft, row_from.get(to));
   if (d_tt != 0) stage(d_tt, row_to.get(to));
 
-  // Reduce with the batched xlogx kernel: term order is the cell order,
-  // and the reduction uses the canonical strided-4 accumulation (DESIGN
-  // §13), which the reference kernels mirror — results stay
-  // bit-identical across dispatch levels.
-  const double delta_cells =
-      simd::xlogx_diff_sum(batch.new_vals.data(), batch.old_vals.data(), n);
+  const double delta_cells = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 
   const auto degree_delta = [](Count before_from, Count before_to, Count k) {
     return xlogx_count(before_from - k) - xlogx_count(before_from) +

@@ -53,10 +53,10 @@ struct CellDelta {
 };
 
 /// Result of evaluating a move. `cell_deltas` lists every changed cell
-/// exactly once, in the canonical cell order (DESIGN §13), for the
-/// by-value Hastings correction, which needs post-move matrix values
-/// without applying the move. Only the by-value vertex_move_delta()
-/// builds the list; the hot path stages cell values in MoveScratch.
+/// exactly once, in the canonical cell order (DESIGN §13), so that
+/// new_value() can answer post-move matrix values without applying the
+/// move. Only the by-value vertex_move_delta() builds the list; the hot
+/// path stages cell values in MoveScratch.
 struct MoveDelta {
   double delta_mdl = 0.0;
   std::vector<CellDelta> cell_deltas;
@@ -121,23 +121,15 @@ class MoveScratch {
     corner_tt_ = tt;
   }
 
-  /// Staging arrays for the batched (SIMD) kernel paths: the ΔMDL /
-  /// Hastings / merge kernels compact their per-term operands here,
-  /// then hand the contiguous arrays to the util::simd /
-  /// blockmodel::simd reductions. Contents are transient per kernel
-  /// call; capacity is retained forever, like the other scratch
-  /// buffers.
+  /// Each changed cell's pre/post-move value, staged by
+  /// vertex_move_delta_into in the canonical cell order (DESIGN §13)
+  /// and replayed by the Hastings correction, which then probes two
+  /// cells per term instead of four. Contents are valid until the next
+  /// move delta on this scratch; capacity is retained forever, like the
+  /// other scratch buffers.
   struct BatchBuffers {
     std::vector<Count> old_vals;       ///< pre-move cell values, per cell
     std::vector<Count> new_vals;       ///< post-move cell values (nonzero Δ)
-    std::vector<Count> fold_a;         ///< merge: merged counts
-    std::vector<Count> fold_b;         ///< merge: existing counts
-    std::vector<Count> fold_c;         ///< merge: folded counts
-    std::vector<double> kd;            ///< Hastings: neighbor multiplicity
-    std::vector<double> fwd_num;       ///< Hastings: forward numerators
-    std::vector<double> fwd_den;       ///< Hastings: forward denominators
-    std::vector<double> bwd_num;       ///< Hastings: backward numerators
-    std::vector<double> bwd_den;       ///< Hastings: backward denominators
   };
   BatchBuffers batch;
 
@@ -210,13 +202,12 @@ void gather_neighbor_blocks_into(const graph::GraphView& graph, const View& view
 /// ΔMDL of moving v from `from` to `to`, written into scratch.delta_mdl
 /// (plus the corner deltas, which move_new_value() reads afterwards, and
 /// each changed cell's pre/post value in scratch.batch.old_vals/new_vals,
-/// in the canonical cell order, which the batched Hastings correction
-/// replays).
+/// in the canonical cell order, which the Hastings correction replays).
 /// `nb` is usually scratch.nb (aliasing is fine — it is only read).
 /// \pre from != to; `nb` gathered under the same assignment the
 /// blockmodel's M corresponds to, by a gather on this same scratch
-/// (move_new_value and the batched Hastings correction answer
-/// non-corner cell deltas from the scratch's count accumulators).
+/// (move_new_value and the Hastings correction answer non-corner cell
+/// deltas from the scratch's count accumulators).
 void vertex_move_delta_into(const Blockmodel& b, BlockId from, BlockId to,
                             const NeighborBlockCounts& nb,
                             MoveScratch& scratch);

@@ -52,8 +52,9 @@ extern const std::int64_t* const xlogx_fixed_table;
 extern const std::int64_t* const xlogx_fixed_step_table;
 }  // namespace detail
 
-/// x·log x for a non-negative integer count: table lookup below
-/// kXlogxTableSize, std::log fallback above. \pre x >= 0.
+/// x·log x for an integer count: table lookup below kXlogxTableSize,
+/// std::log fallback above. A negative count, which a stale A-SBP view
+/// can stage (DESIGN §13), takes the fallback and gives NaN.
 inline double xlogx_count(Count x) noexcept {
   if (static_cast<std::uint64_t>(x) < kXlogxTableSize) {
     return detail::xlogx_table[static_cast<std::size_t>(x)];

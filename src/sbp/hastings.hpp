@@ -18,24 +18,14 @@
 
 namespace hsbp::sbp {
 
-/// Returns p_backward / p_forward for the move `from` → `to` described
-/// by `nb`/`delta`. Post-move cells are answered by a linear scan of
-/// delta.cell_deltas per lookup — use the MoveScratch overload on the
-/// hot path. \pre from != to; delta was computed for this move.
-double hastings_correction(const blockmodel::Blockmodel& b,
-                           const blockmodel::NeighborBlockCounts& nb,
-                           blockmodel::BlockId from, blockmodel::BlockId to,
-                           const blockmodel::MoveDelta& delta);
-
-/// Same correction, reading the move description (neighbor counts,
-/// staged cell values, count accumulators and corner deltas) from the
-/// scratch a preceding gather + vertex_move_delta_into filled. This is
-/// the batched hot path: per-term operands are staged into the
-/// scratch's batch arrays (two matrix probes per term instead of four
-/// — hence the non-const scratch; the move description itself is only
-/// read) and reduced with util::simd::ratio_pair_sums — bit-identical
-/// to the MoveDelta overload above. \pre from != to; scratch holds
-/// that move's gather + delta.
+/// Returns p_backward / p_forward for the move `from` → `to`, reading
+/// the move description (neighbor counts, staged cell values, count
+/// accumulators and corner deltas) from the scratch a preceding gather
+/// + vertex_move_delta_into filled. Two matrix probes per term: the
+/// other two cells of each term are the staged values, replayed in the
+/// canonical cell order. \pre from != to; scratch holds that move's
+/// gather + delta.
+/// Only reads scratch; a const ref would rename the symbol perfbench traces.
 double hastings_correction(const blockmodel::Blockmodel& b,
                            blockmodel::BlockId from, blockmodel::BlockId to,
                            blockmodel::MoveScratch& scratch);

@@ -172,7 +172,6 @@ inline MoveDelta vertex_move_delta(const Blockmodel& b, BlockId from,
   for (const CellDelta& cd : cells) {
     const Count old_value = b.matrix().get(cd.row, cd.col);
     const Count new_cell = old_value + cd.delta;
-    assert(new_cell >= 0);
     cell_lanes[cell_idx & 3] += xlogx(static_cast<double>(new_cell)) -
                                 xlogx(static_cast<double>(old_value));
     ++cell_idx;

@@ -59,16 +59,21 @@ TEST(HastingsCorrection, SelfLoopVertexRoundTripIsUnity) {
   const std::vector<std::int32_t> assignment = {0, 0, 1};
   auto b = Blockmodel::from_assignment(g, assignment, 2);
 
-  const auto nb_fwd = gather_neighbor_blocks(g, b.assignment(), 1);
-  const auto delta_fwd = vertex_move_delta(b, 0, 1, nb_fwd);
-  const double h_fwd = sbp::hastings_correction(b, nb_fwd, 0, 1, delta_fwd);
+  // Vertex 1 evaluated as the MCMC step does: gather into scratch,
+  // ΔMDL, then the correction that replays the scratch.
+  MoveScratch scratch;
+  const auto correction = [&](const Blockmodel& model, BlockId from,
+                              BlockId to) {
+    const FlatMembershipView view{model.assignment().data()};
+    gather_neighbor_blocks_into(g, view, 1, model.num_blocks(), scratch);
+    vertex_move_delta_into(model, from, to, scratch.nb, scratch);
+    return sbp::hastings_correction(model, from, to, scratch);
+  };
+  const double h_fwd = correction(b, 0, 1);
 
   auto moved = b;
   moved.move_vertex(g, 1, 1);
-  const auto nb_bwd = gather_neighbor_blocks(g, moved.assignment(), 1);
-  const auto delta_bwd = vertex_move_delta(moved, 1, 0, nb_bwd);
-  const double h_bwd =
-      sbp::hastings_correction(moved, nb_bwd, 1, 0, delta_bwd);
+  const double h_bwd = correction(moved, 1, 0);
   EXPECT_NEAR(h_fwd * h_bwd, 1.0, 1e-10);
 }
 

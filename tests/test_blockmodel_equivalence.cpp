@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
@@ -39,6 +40,15 @@ TEST(XlogxTable, BitIdenticalToLiveLogAcrossTable) {
   for (Count x = boundary; x < boundary * 64; x += 997) {
     EXPECT_EQ(xlogx_count(x), reference::xlogx(static_cast<double>(x)))
         << "x=" << x;
+  }
+  // A stale A-SBP view can stage a negative count (DESIGN §13). It must
+  // take the live-log fallback, never index the table: NaN, bitwise
+  // equal to the reference (NaN != NaN, so compare the bits).
+  for (const Count x : {Count{-1}, Count{-2}, -boundary}) {
+    const double got = xlogx_count(x);
+    const double ref = reference::xlogx(static_cast<double>(x));
+    EXPECT_TRUE(std::isnan(got)) << "x=" << x;
+    EXPECT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0) << "x=" << x;
   }
 }
 

@@ -139,6 +139,7 @@ TEST(SamplePipeline, FullFractionMatchesPlainRunQuality) {
   sbp::SbpConfig base;
   base.variant = sbp::Variant::Hybrid;
   base.seed = 11;
+  base.num_threads = 1;  // fixed thread count: the determinism contract
   const auto plain = sbp::run(g.graph, base);
 
   SampleConfig config;

@@ -114,6 +114,18 @@ TEST(BlockNeighborCounts, MatchesMatrixSlices) {
   EXPECT_EQ(nb.degree_in, b.degree_in(0));
 }
 
+/// hastings_correction() for moving v out of its block in `b` to `to`,
+/// evaluated as the MCMC step does: gather into `scratch`, ΔMDL, then
+/// the correction that replays the scratch.
+double scratch_correction(const Graph& g, const Blockmodel& b, Vertex v,
+                          BlockId to, blockmodel::MoveScratch& scratch) {
+  const BlockId from = b.block_of(v);
+  const blockmodel::FlatMembershipView view{b.assignment().data()};
+  blockmodel::gather_neighbor_blocks_into(g, view, v, b.num_blocks(), scratch);
+  blockmodel::vertex_move_delta_into(b, from, to, scratch.nb, scratch);
+  return hastings_correction(b, from, to, scratch);
+}
+
 TEST(HastingsCorrection, ForwardTimesReverseIsOne) {
   // Detailed-balance identity: the correction of a move times the
   // correction of its reverse (evaluated after applying the move) is 1.
@@ -126,6 +138,7 @@ TEST(HastingsCorrection, ForwardTimesReverseIsOne) {
   const Graph& g = generated.graph;
   auto b = Blockmodel::from_assignment(g, generated.ground_truth, 4);
 
+  blockmodel::MoveScratch scratch;
   util::Rng rng(6);
   int tested = 0;
   for (int trial = 0; trial < 200 && tested < 50; ++trial) {
@@ -134,18 +147,10 @@ TEST(HastingsCorrection, ForwardTimesReverseIsOne) {
     const auto to = static_cast<BlockId>(rng.uniform_int(4));
     if (to == from || b.block_size(from) <= 1) continue;
 
-    const auto nb_fwd = blockmodel::gather_neighbor_blocks(g, b.assignment(), v);
-    const auto delta_fwd = blockmodel::vertex_move_delta(b, from, to, nb_fwd);
-    const double h_fwd = hastings_correction(b, nb_fwd, from, to, delta_fwd);
-
+    const double h_fwd = scratch_correction(g, b, v, to, scratch);
     auto moved = b;
     moved.move_vertex(g, v, to);
-    const auto nb_bwd =
-        blockmodel::gather_neighbor_blocks(g, moved.assignment(), v);
-    const auto delta_bwd =
-        blockmodel::vertex_move_delta(moved, to, from, nb_bwd);
-    const double h_bwd =
-        hastings_correction(moved, nb_bwd, to, from, delta_bwd);
+    const double h_bwd = scratch_correction(g, moved, v, from, scratch);
 
     ASSERT_GT(h_fwd, 0.0);
     EXPECT_NEAR(h_fwd * h_bwd, 1.0, 1e-9);
@@ -159,9 +164,8 @@ TEST(HastingsCorrection, IsolatedVertexIsNeutral) {
   const Graph g = Graph::from_edges(5, edges);
   const std::vector<std::int32_t> assignment = {0, 0, 1, 1, 0};
   const auto b = Blockmodel::from_assignment(g, assignment, 2);
-  const auto nb = blockmodel::gather_neighbor_blocks(g, assignment, 4);
-  const auto delta = blockmodel::vertex_move_delta(b, 0, 1, nb);
-  EXPECT_DOUBLE_EQ(hastings_correction(b, nb, 0, 1, delta), 1.0);
+  blockmodel::MoveScratch scratch;
+  EXPECT_DOUBLE_EQ(scratch_correction(g, b, 4, 1, scratch), 1.0);
 }
 
 // ---- HastingsBound: hastings_bound() must bound hastings_correction()
