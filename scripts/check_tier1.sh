@@ -67,7 +67,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # without bounds checks, sized from the block count. The
 # phase-equivalence suite runs there too: the pass loop cuts its vertex
 # lists into slices and mirrors serial moves into a workspace by raw
-# vertex and block index. This is a Debug build (the library keeps its
+# vertex and block index. So do D-SBP's equivalence and driver suites:
+# its rank sweep reads and writes the pass-start and next membership
+# buffers by raw vertex id. This is a Debug build (the library keeps its
 # -O3), so it is also the stage that runs with asserts on: the chain-
 # equivalence and Hastings-bound suites feed stale A-SBP views, whose
 # negative staged counts no assert may reject (DESIGN §13).
@@ -81,12 +83,15 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
     --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
     --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*'
+  "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel
 # suites under TSan — the single-writer-per-vertex/move-log protocol
-# (DESIGN §11) and the serve snapshot-swap contract (DESIGN §12) are
-# exactly the kind of claims only a thread sanitizer can audit. Runs
+# (DESIGN §11), D-SBP's concurrent rank sweep (each rank writes only its
+# own vertices of one shared buffer) and the serve snapshot-swap
+# contract (DESIGN §12) are exactly the kind of claims only a thread
+# sanitizer can audit. Runs
 # with a fixed OpenMP thread count so single-CPU machines still get
 # real interleavings.
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_TSAN:-0}" != "1" ]]; then

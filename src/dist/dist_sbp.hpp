@@ -14,6 +14,9 @@
 ///     blockmodel is rebuilt, and the next pass begins;
 ///   - block-merge phases run centrally with a membership broadcast.
 ///
+/// The outer loop and the stop rule are sbp::run's own (golden search,
+/// merge phase, sbp::run_passes): D-SBP supplies only its MCMC phase.
+///
 /// Every exchange is recorded in a CommLedger with a documented
 /// bytes-on-the-wire model, so benches can report communication volume
 /// and its scaling with rank count — the quantity a real MPI port would
@@ -28,9 +31,10 @@
 namespace hsbp::dist {
 
 struct DistributedConfig {
-  /// Base SBP knobs (thresholds, β, merge settings). The `variant`
-  /// field is ignored: the distributed MCMC phase is A-SBP by
-  /// construction.
+  /// Base SBP knobs (thresholds, β, merge settings, threads), validated
+  /// as sbp::run validates them. The `variant`, `schedule` and hybrid
+  /// and batch fields are ignored: the distributed MCMC phase is A-SBP
+  /// by construction.
   sbp::SbpConfig base;
   int ranks = 4;
   PartitionStrategy strategy = PartitionStrategy::DegreeBalanced;

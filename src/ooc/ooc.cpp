@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "blockmodel/mdl.hpp"
 #include "sbp/mcmc_phases.hpp"
 #include "sbp/streaming.hpp"
 #include "util/timer.hpp"
@@ -284,35 +283,32 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   Blockmodel model = Blockmodel::from_assignment_chunked(
       graph, assignment, num_blocks, config.chunk_vertices,
       [&config] { release(config); });
-  double current_mdl =
-      blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
-  if (config.finetune_max_iterations > 0) {
-    util::Rng rng(config.base.seed ^ 0x00c0ffee00c0ffeeULL);
-    sbp::ConvergenceWindow window(config.finetune_threshold);
-    // One serial sweep per `chunk_vertices` ids, releasing the mapped
-    // pages between chunks; the tally sums the pass ΔMDL across chunks.
-    const Vertex v_count = graph.num_vertices();
-    std::vector<Vertex> ids(static_cast<std::size_t>(
-        std::min(config.chunk_vertices, v_count)));
-    for (int pass = 0; pass < config.finetune_max_iterations; ++pass) {
-      sbp::SweepTally tally;
-      for (Vertex begin = 0; begin < v_count;) {
-        const Vertex size = std::min(config.chunk_vertices, v_count - begin);
-        const std::span<Vertex> chunk(ids.data(),
-                                      static_cast<std::size_t>(size));
-        std::iota(chunk.begin(), chunk.end(), begin);
-        sbp::serial_sweep(graph, model, chunk, config.base.beta, rng, tally);
-        release(config);
-        begin += size;
-      }
-      out.finetune_moves += tally.accepted;
-      current_mdl += tally.delta_mdl;
-      if (window.record(tally.delta_mdl, current_mdl)) break;
+  util::Rng rng(config.base.seed ^ 0x00c0ffee00c0ffeeULL);
+  sbp::McmcSettings settings;
+  settings.threshold = config.finetune_threshold;
+  settings.max_iterations = config.finetune_max_iterations;
+  sbp::McmcPhaseStats stats;
+  sbp::SweepTally tally;
+  // One serial sweep per `chunk_vertices` ids, releasing the mapped
+  // pages between chunks.
+  const Vertex v_count = graph.num_vertices();
+  std::vector<Vertex> ids(static_cast<std::size_t>(
+      std::min(config.chunk_vertices, v_count)));
+  sbp::run_passes(graph, model, settings, stats, [&] {
+    for (Vertex begin = 0; begin < v_count;) {
+      const Vertex size = std::min(config.chunk_vertices, v_count - begin);
+      const std::span<Vertex> chunk(ids.data(),
+                                    static_cast<std::size_t>(size));
+      std::iota(chunk.begin(), chunk.end(), begin);
+      sbp::serial_sweep(graph, model, chunk, config.base.beta, rng, tally);
+      release(config);
+      begin += size;
     }
-  }
+  });
+  out.finetune_moves = tally.accepted;
   out.assignment = model.copy_assignment();
   out.num_blocks = num_blocks;
-  out.mdl = blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
+  out.mdl = stats.final_mdl;
   out.timings.finetune_seconds = stage.elapsed();
   out.timings.total_seconds = total.elapsed();
   return out;

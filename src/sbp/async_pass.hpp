@@ -168,8 +168,8 @@ struct PassWorkspace {
 /// Delta-apply vs rebuild crossover, as a fraction of the directed edge
 /// mass 2E: applying a move touches ~4·deg(v) slice cells while a
 /// rebuild touches each edge once (plus the merge), so deltas stop
-/// winning somewhere below deg mass ≈ E/2. Conservative default;
-/// overridable per call (and via McmcSettings::rebuild_threshold).
+/// winning somewhere below deg mass ≈ E/2. Conservative default; tests
+/// pass other values to finish_pass to force one path.
 inline constexpr double kDefaultRebuildThreshold = 0.25;
 
 /// Runs one parallel pass over `vertices`. `b` supplies the (stale)

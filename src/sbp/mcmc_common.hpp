@@ -25,10 +25,6 @@ struct McmcSettings {
   int max_iterations = 100;  ///< x in Algs. 2–4
   /// Work distribution of the asynchronous passes (schedule.hpp).
   PassSchedule schedule = PassSchedule::Static;
-  /// Adaptive pass-apply fallback: rebuild the blockmodel instead of
-  /// applying move deltas when a pass moved more than this fraction of
-  /// the directed edge mass (detail::kDefaultRebuildThreshold).
-  double rebuild_threshold = 0.25;
 };
 
 /// Outcome of evaluating one vertex.

@@ -29,8 +29,25 @@ void serial_sweep(const GraphView& graph, Blockmodel& b,
     if (!result.moved) continue;
     b.move_vertex(graph, v, result.to);
     if (mirror != nullptr) mirror->sync_move(v, from, result.to);
-    tally.delta_mdl += result.delta_mdl;
     ++tally.accepted;
+  }
+}
+
+void run_passes(const GraphView& graph, const Blockmodel& b,
+                const McmcSettings& settings, McmcPhaseStats& stats,
+                const std::function<void()>& pass) {
+  const auto exact_mdl = [&] {
+    return blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  };
+  stats.final_mdl = stats.initial_mdl = exact_mdl();
+  ConvergenceWindow window(settings.threshold);
+  for (int i = 0; i < settings.max_iterations; ++i) {
+    pass();
+    const double new_mdl = exact_mdl();
+    const double pass_delta = new_mdl - stats.final_mdl;
+    stats.final_mdl = new_mdl;
+    ++stats.iterations;
+    if (window.record(pass_delta, stats.final_mdl)) break;
   }
 }
 
@@ -53,18 +70,12 @@ std::vector<Vertex> all_vertices(const GraphView& graph) {
   return all;
 }
 
-/// The pass loop behind every phase. A pass's ΔMDL is the exact mdl()
-/// after it minus the one before it.
+/// The pass loop behind every phase.
 PhaseOutcome run_phase(const GraphView& graph, Blockmodel& b,
                        const McmcSettings& settings, PassPlan plan,
                        util::RngPool& rngs) {
-  const auto exact_mdl = [&] {
-    return blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
-  };
   PhaseOutcome outcome;
   McmcPhaseStats& stats = outcome.stats;
-  stats.final_mdl = stats.initial_mdl = exact_mdl();
-  ConvergenceWindow window(settings.threshold);
   util::Rng& serial_rng = rngs.stream(0);
   std::vector<Vertex> order;
   if (plan.reshuffle) {
@@ -81,7 +92,7 @@ PhaseOutcome run_phase(const GraphView& graph, Blockmodel& b,
   const auto slices = static_cast<std::size_t>(plan.slices);
   SweepTally serial;
 
-  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+  run_passes(graph, b, settings, stats, [&] {
     if (plan.reshuffle) serial_rng.shuffle(order);
     serial_sweep(graph, b, plan.serial, settings.beta, serial_rng, serial,
                  mirror);
@@ -96,14 +107,9 @@ PhaseOutcome run_phase(const GraphView& graph, Blockmodel& b,
       stats.proposals += counters.proposals;
       stats.accepted += counters.accepted;
       outcome.parallel_updates += static_cast<std::int64_t>(slice.size());
-      detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+      detail::finish_pass(graph, b, ws);
     }
-    const double new_mdl = exact_mdl();
-    const double pass_delta = new_mdl - stats.final_mdl;
-    stats.final_mdl = new_mdl;
-    ++stats.iterations;
-    if (window.record(pass_delta, stats.final_mdl)) break;
-  }
+  });
   stats.proposals += serial.proposals;
   stats.accepted += serial.accepted;
   return outcome;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "blockmodel/blockmodel.hpp"
@@ -28,13 +29,21 @@ struct PhaseOutcome {
   std::int64_t serial_updates = 0;
 };
 
-/// Running totals of serial_sweep, accumulated across calls: a sweep
-/// cut into chunks sums its ΔMDL to the same bits as one whole sweep.
+/// Running totals of serial_sweep, accumulated across calls.
 struct SweepTally {
   std::int64_t proposals = 0;
   std::int64_t accepted = 0;
-  double delta_mdl = 0.0;  ///< Σ ΔMDL of the accepted moves, in order
 };
+
+/// The stop rule of every pass loop (the four plans, D-SBP and OOC
+/// stage 4): runs `pass` up to settings.max_iterations times and stops
+/// once the ConvergenceWindow closes on settings.threshold. A pass's
+/// ΔMDL is the exact mdl() of `b` after it minus the one before it.
+/// Sets stats' iterations and initial/final MDL; `pass` counts its own
+/// proposals and moves.
+void run_passes(const graph::GraphView& graph, const blockmodel::Blockmodel& b,
+                const McmcSettings& settings, McmcPhaseStats& stats,
+                const std::function<void()>& pass);
 
 /// Serial Metropolis-Hastings sweep over `vertices`, in order, against
 /// fresh state: accepted moves are applied in place, and mirrored into

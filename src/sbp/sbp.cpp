@@ -72,8 +72,9 @@ Snapshot cold_initial(const Graph& graph) {
                                   graph.num_edges())};
 }
 
-/// The shared core of run()/run_warm(): golden-section search from an
-/// arbitrary search state (cold, warm, or checkpoint-resumed).
+/// The shared core of every run(): golden-section search from an
+/// arbitrary search state (cold, warm, or checkpoint-resumed), with
+/// `phase` as the MCMC phase of every probe.
 ///
 /// Checkpoint discipline: a snapshot is written only at phase
 /// boundaries — after search.record(), before the next probe — so the
@@ -81,6 +82,7 @@ Snapshot cold_initial(const Graph& graph) {
 /// the next phase would read. Resuming therefore replays the identical
 /// chain: killed-and-resumed equals uninterrupted, bit for bit.
 SbpResult run_impl(const Graph& graph, const SbpConfig& config,
+                   const McmcPhase& phase, std::size_t min_streams,
                    GoldenSearch search, const SbpStats& resumed_stats,
                    std::span<const util::Rng::State> rng_states,
                    const ckpt::CheckpointConfig& ck) {
@@ -88,8 +90,8 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
 
   util::Timer total_timer;
   util::RngPool rngs(config.seed,
-                     static_cast<std::size_t>(
-                         std::max(1, omp_get_max_threads())));
+                     std::max(min_streams, static_cast<std::size_t>(std::max(
+                                               1, omp_get_max_threads()))));
   if (!rng_states.empty()) {
     if (rng_states.size() != rngs.size()) {
       throw util::DataError(
@@ -100,8 +102,6 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
     }
     rngs.restore_states(rng_states);
   }
-
-  const graph::DegreeSplit split = hybrid_split(graph, config);
 
   SbpResult result;
   SbpStats& stats = result.stats;
@@ -157,24 +157,23 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
                              : config.mcmc_threshold_pre_bracket;
 
     mcmc_watch.start();
-    const PhaseOutcome phase =
-        run_mcmc_phase(graph, b, config, settings, split, rngs);
+    const PhaseOutcome outcome = phase(b, settings, rngs);
     mcmc_watch.stop();
 
-    stats.mcmc_iterations += phase.stats.iterations;
-    stats.proposals += phase.stats.proposals;
-    stats.accepted_moves += phase.stats.accepted;
-    stats.parallel_updates += phase.parallel_updates;
-    stats.serial_updates += phase.serial_updates;
+    stats.mcmc_iterations += outcome.stats.iterations;
+    stats.proposals += outcome.stats.proposals;
+    stats.accepted_moves += outcome.stats.accepted;
+    stats.parallel_updates += outcome.parallel_updates;
+    stats.serial_updates += outcome.serial_updates;
     ++stats.outer_iterations;
 
     HSBP_LOG_DEBUG("%s: outer %lld blocks %d mdl %.2f",
                    variant_name(config.variant),
                    static_cast<long long>(stats.outer_iterations),
-                   b.num_blocks(), phase.stats.final_mdl);
+                   b.num_blocks(), outcome.stats.final_mdl);
 
     search.record(Snapshot{b.copy_assignment(), b.num_blocks(),
-                           phase.stats.final_mdl});
+                           outcome.stats.final_mdl});
     checkpoint_fresh = false;
 
     if (!ck.save_path.empty()) {
@@ -209,6 +208,16 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
   result.mdl = best.mdl;
   accumulate_seconds(stats);
   return result;
+}
+
+/// `config.variant`'s MCMC phase: the closure run() and run_warm() hand
+/// to run_impl.
+McmcPhase variant_phase(const Graph& graph, const SbpConfig& config) {
+  return [&graph, &config, split = hybrid_split(graph, config)](
+             Blockmodel& b, const McmcSettings& settings,
+             util::RngPool& rngs) {
+    return run_mcmc_phase(graph, b, config, settings, split, rngs);
+  };
 }
 
 }  // namespace
@@ -266,12 +275,21 @@ SbpResult run(const Graph& graph, const SbpConfig& config,
     }
     GoldenSearch search(std::move(loaded.search),
                         config.block_reduction_rate);
-    return run_impl(graph, config, std::move(search), loaded.stats,
-                    loaded.rng_streams, checkpoint);
+    return run_impl(graph, config, variant_phase(graph, config), 1,
+                    std::move(search), loaded.stats, loaded.rng_streams,
+                    checkpoint);
   }
   GoldenSearch search(cold_initial(graph), config.block_reduction_rate);
-  return run_impl(graph, config, std::move(search), SbpStats{}, {},
-                  checkpoint);
+  return run_impl(graph, config, variant_phase(graph, config), 1,
+                  std::move(search), SbpStats{}, {}, checkpoint);
+}
+
+SbpResult run(const Graph& graph, const SbpConfig& config,
+              const McmcPhase& phase, std::size_t min_streams) {
+  validate(graph, config);
+  GoldenSearch search(cold_initial(graph), config.block_reduction_rate);
+  return run_impl(graph, config, phase, min_streams, std::move(search),
+                  SbpStats{}, {}, ckpt::CheckpointConfig{});
 }
 
 SbpResult run_warm(const Graph& graph, const SbpConfig& config,
@@ -308,7 +326,8 @@ SbpResult run_warm(const Graph& graph, const SbpConfig& config,
                    blockmodel::mdl(warm, graph.num_vertices(),
                                    graph.num_edges())};
   GoldenSearch search(std::move(initial), config.block_reduction_rate);
-  return run_impl(graph, config, std::move(search), SbpStats{}, {},
+  return run_impl(graph, config, variant_phase(graph, config), 1,
+                  std::move(search), SbpStats{}, {},
                   ckpt::CheckpointConfig{});
 }
 

@@ -23,7 +23,9 @@
 /// \endcode
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
@@ -145,6 +147,20 @@ SbpResult run(const graph::Graph& graph, const SbpConfig& config);
 /// wrong-graph/wrong-config snapshot.
 SbpResult run(const graph::Graph& graph, const SbpConfig& config,
               const ckpt::CheckpointConfig& checkpoint);
+
+/// One MCMC phase as the golden-search loop runs it: refines `b` in
+/// place, drawing from `rngs`.
+using McmcPhase = std::function<PhaseOutcome(
+    blockmodel::Blockmodel& b, const McmcSettings& settings,
+    util::RngPool& rngs)>;
+
+/// Same search as run(graph, config) with a caller-supplied MCMC phase
+/// in place of `config.variant`'s (simulated D-SBP's rank-local phase).
+/// The RNG pool has at least `min_streams` streams, and at least one per
+/// thread; the merge phase draws from the same pool.
+/// \throws std::invalid_argument as run(graph, config) does.
+SbpResult run(const graph::Graph& graph, const SbpConfig& config,
+              const McmcPhase& phase, std::size_t min_streams);
 
 /// H-SBP's serial/asynchronous vertex split for `config`; empty for the
 /// other variants.

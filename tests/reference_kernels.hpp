@@ -9,23 +9,22 @@
 /// std::log, MoveDelta::new_value via a cell-list scan, the Hastings
 /// correction on top of it, and merge_delta_mdl with live std::log —
 /// plus the blockmodel build's per-edge edge scan, down to the entry
-/// order of every slice it fills, and the four MCMC phase loops as they
-/// were written before they became plans over one pass loop (these call
-/// the production per-vertex step and async pass, so they pin the loop
+/// order of every slice it fills, the four MCMC phase loops as they
+/// were written before they became plans over one pass loop, and the
+/// simulated D-SBP driver as it was written before it ran on sbp::run's
+/// outer loop (the phase loops and the D-SBP driver call the production
+/// per-vertex step, async pass and merge phase, so they pin the loop
 /// structure, not the kernels). The optimized kernels must be
 /// *bit-identical* to these — that is the contract that makes the
 /// rewrite a pure performance change — so the tests compare results
 /// with ==, not EXPECT_NEAR.
 ///
 /// One deliberate departure from the pre-rewrite code: floating-point
-/// term sums use the canonical strided-4 accumulation order of
-/// util/simd.hpp (lane[i mod 4] += term[i]; (l0+l1)+(l2+l3)) instead of
-/// a single serial chain. The canonical order is part of the kernel
-/// contract since the SIMD layer (DESIGN §13): it is the unique order
-/// that a 4-lane vector accumulator, two 2-lane accumulators, and four
-/// scalar registers all reproduce exactly, so scalar/SSE2/AVX2 dispatch
-/// levels and these references agree bit-for-bit. Per-term arithmetic
-/// is unchanged.
+/// term sums use the canonical strided-4 accumulation order
+/// (lane[i mod 4] += term[i]; (l0+l1)+(l2+l3)) instead of a single
+/// serial chain. The production kernels sum in that order (DESIGN §13),
+/// so these references must too for the results to agree bit-for-bit.
+/// Per-term arithmetic is unchanged.
 ///
 /// Deliberately header-only: the reference code must not be linked into
 /// the library, only into test binaries.
@@ -46,8 +45,11 @@
 #include "blockmodel/blockmodel.hpp"
 #include "blockmodel/mdl.hpp"
 #include "blockmodel/vertex_move_delta.hpp"
+#include "dist/dist_sbp.hpp"
 #include "graph/graph.hpp"
 #include "sbp/async_pass.hpp"
+#include "sbp/block_merge.hpp"
+#include "sbp/golden_search.hpp"
 #include "sbp/mcmc_common.hpp"
 #include "sbp/mcmc_phases.hpp"
 #include "sbp/proposal.hpp"
@@ -484,7 +486,7 @@ inline sbp::PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
     stats.accepted += counters.accepted;
     outcome.parallel_updates += graph.num_vertices();
 
-    sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+    sbp::detail::finish_pass(graph, b, ws);
     const double new_mdl =
         blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
     const double pass_delta = new_mdl - current_mdl;
@@ -539,7 +541,7 @@ inline sbp::PhaseOutcome hybrid_phase(const graph::GraphView& graph,
     stats.accepted += counters.accepted;
     outcome.parallel_updates += static_cast<std::int64_t>(split.low.size());
 
-    sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+    sbp::detail::finish_pass(graph, b, ws);
     const double new_mdl =
         blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
     const double pass_delta = new_mdl - current_mdl;
@@ -590,7 +592,7 @@ inline sbp::PhaseOutcome batched_gibbs_phase(
       stats.accepted += counters.accepted;
       outcome.parallel_updates += static_cast<std::int64_t>(slice.size());
 
-      sbp::detail::finish_pass(graph, b, ws, settings.rebuild_threshold);
+      sbp::detail::finish_pass(graph, b, ws);
     }
 
     const double new_mdl =
@@ -602,6 +604,199 @@ inline sbp::PhaseOutcome batched_gibbs_phase(
   }
   stats.final_mdl = current_mdl;
   return outcome;
+}
+
+/// One rank's accepted moves in a pre-engine D-SBP pass.
+struct RankUpdates {
+  std::vector<std::pair<graph::Vertex, BlockId>> moves;
+  std::int64_t proposals = 0;
+};
+
+/// Pre-engine D-SBP pass: every rank sweeps its own vertices against
+/// `stale` while seeing its own in-pass moves through a rank-local
+/// override map.
+inline std::vector<RankUpdates> distributed_pass(
+    const graph::Graph& graph, const Blockmodel& b,
+    const std::vector<std::int32_t>& stale,
+    const dist::VertexPartition& partition, double beta,
+    util::RngPool& rngs) {
+  const int ranks = partition.ranks;
+  std::vector<RankUpdates> updates(static_cast<std::size_t>(ranks));
+
+  util::omp_region([&] {
+#pragma omp for schedule(dynamic, 1)
+    for (int rank = 0; rank < ranks; ++rank) {
+      auto& local = updates[static_cast<std::size_t>(rank)];
+      std::unordered_map<graph::Vertex, BlockId> overrides;
+      std::vector<std::int32_t> sizes(
+          static_cast<std::size_t>(b.num_blocks()));
+      for (BlockId r = 0; r < b.num_blocks(); ++r) {
+        sizes[static_cast<std::size_t>(r)] = b.block_size(r);
+      }
+
+      const auto view = [&](graph::Vertex u) {
+        const auto it = overrides.find(u);
+        return it != overrides.end() ? it->second
+                                     : stale[static_cast<std::size_t>(u)];
+      };
+
+      util::Rng& rng = rngs.stream(static_cast<std::size_t>(rank));
+      for (const graph::Vertex v :
+           partition.members[static_cast<std::size_t>(rank)]) {
+        const BlockId from = view(v);
+        const auto outcome = sbp::evaluate_vertex(
+            graph, b, view, v, sizes[static_cast<std::size_t>(from)], beta,
+            rng, blockmodel::thread_move_scratch());
+        ++local.proposals;
+        if (!outcome.moved) continue;
+        overrides[v] = outcome.to;
+        --sizes[static_cast<std::size_t>(from)];
+        ++sizes[static_cast<std::size_t>(outcome.to)];
+        local.moves.emplace_back(v, outcome.to);
+      }
+    }
+  });
+  return updates;
+}
+
+/// Pre-engine D-SBP compaction: empty blocks dropped, the survivors
+/// relabelled in ascending order.
+inline void compact_empty_blocks(std::vector<std::int32_t>& assignment,
+                                 BlockId& num_blocks) {
+  std::vector<std::int32_t> counts(static_cast<std::size_t>(num_blocks), 0);
+  for (const std::int32_t label : assignment) {
+    ++counts[static_cast<std::size_t>(label)];
+  }
+  std::vector<std::int32_t> remap(static_cast<std::size_t>(num_blocks), -1);
+  BlockId next = 0;
+  for (BlockId r = 0; r < num_blocks; ++r) {
+    if (counts[static_cast<std::size_t>(r)] > 0) {
+      remap[static_cast<std::size_t>(r)] = next++;
+    }
+  }
+  if (next == num_blocks) return;
+  for (auto& label : assignment) {
+    label = remap[static_cast<std::size_t>(label)];
+  }
+  num_blocks = next;
+}
+
+/// Pre-engine D-SBP phase loop: pass, exchange, compaction and rebuild
+/// until the convergence window closes.
+inline sbp::McmcPhaseStats distributed_mcmc_phase(
+    const graph::Graph& graph, Blockmodel& b,
+    const sbp::McmcSettings& settings,
+    const dist::VertexPartition& partition, util::RngPool& rngs,
+    dist::CommLedger& ledger, std::vector<std::int64_t>& accepted) {
+  sbp::McmcPhaseStats stats;
+  stats.initial_mdl =
+      blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+  double current_mdl = stats.initial_mdl;
+  sbp::ConvergenceWindow window(settings.threshold);
+
+  for (int pass = 0; pass < settings.max_iterations; ++pass) {
+    const std::vector<std::int32_t> stale = b.assignment();
+    const auto updates = reference::distributed_pass(
+        graph, b, stale, partition, settings.beta, rngs);
+
+    std::vector<std::int32_t> next = stale;
+    std::int64_t moved = 0;
+    for (std::size_t rank = 0; rank < updates.size(); ++rank) {
+      stats.proposals += updates[rank].proposals;
+      for (const auto& [v, to] : updates[rank].moves) {
+        next[static_cast<std::size_t>(v)] = to;
+      }
+      moved += static_cast<std::int64_t>(updates[rank].moves.size());
+      accepted[rank] += static_cast<std::int64_t>(updates[rank].moves.size());
+    }
+    stats.accepted += moved;
+    ledger.record(dist::CollectiveKind::AllGatherUpdates,
+                  moved * dist::kUpdateBytes, partition.ranks);
+
+    BlockId num_blocks = b.num_blocks();
+    reference::compact_empty_blocks(next, num_blocks);
+    b = Blockmodel::from_assignment(graph, next, num_blocks);
+    ledger.record(
+        dist::CollectiveKind::RebuildAllReduce,
+        static_cast<std::int64_t>(b.matrix().nonzeros()) * dist::kCellBytes,
+        partition.ranks);
+
+    const double new_mdl =
+        blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
+    const double pass_delta = new_mdl - current_mdl;
+    current_mdl = new_mdl;
+    ++stats.iterations;
+    if (window.record(pass_delta, current_mdl)) break;
+  }
+  stats.final_mdl = current_mdl;
+  return stats;
+}
+
+/// Pre-engine D-SBP driver: its own copy of the golden-search outer
+/// loop, with the membership broadcast recorded before each merge. The
+/// OpenMP default thread count is used as is, and the timing fields of
+/// the stats stay zero.
+inline dist::DistributedResult run_distributed(
+    const graph::Graph& graph, const dist::DistributedConfig& config) {
+  const sbp::SbpConfig& base = config.base;
+  const dist::VertexPartition partition =
+      dist::partition_vertices(graph, config.ranks, config.strategy);
+  util::RngPool rngs(base.seed,
+                     static_cast<std::size_t>(std::max(
+                         config.ranks, omp_get_max_threads())));
+
+  dist::DistributedResult out;
+  out.partition_imbalance = partition.imbalance();
+  out.rank_accepted.assign(static_cast<std::size_t>(config.ranks), 0);
+  sbp::SbpStats& stats = out.result.stats;
+
+  Blockmodel identity = Blockmodel::identity(graph);
+  sbp::Snapshot initial{identity.copy_assignment(), identity.num_blocks(),
+                        blockmodel::mdl(identity, graph.num_vertices(),
+                                        graph.num_edges())};
+  sbp::GoldenSearch search(std::move(initial), base.block_reduction_rate);
+
+  while (!search.done() &&
+         stats.outer_iterations < base.max_outer_iterations) {
+    const auto probe = search.next_probe();
+    Blockmodel b = Blockmodel::from_assignment(
+        graph, probe.warm_start->assignment, probe.warm_start->num_blocks);
+
+    out.comm.record(
+        dist::CollectiveKind::AssignmentBcast,
+        static_cast<std::int64_t>(graph.num_vertices()) * dist::kLabelBytes *
+            2,
+        config.ranks);
+    auto merged = sbp::block_merge_phase(
+        graph, b, probe.target_blocks, base.merge_proposals_per_block, rngs);
+    b = Blockmodel::from_assignment(graph, merged.assignment,
+                                    merged.num_blocks);
+
+    sbp::McmcSettings settings;
+    settings.beta = base.beta;
+    settings.max_iterations = base.max_mcmc_iterations;
+    settings.threshold = search.bracket_established()
+                             ? base.mcmc_threshold_post_bracket
+                             : base.mcmc_threshold_pre_bracket;
+
+    const sbp::McmcPhaseStats phase = reference::distributed_mcmc_phase(
+        graph, b, settings, partition, rngs, out.comm, out.rank_accepted);
+
+    stats.mcmc_iterations += phase.iterations;
+    stats.proposals += phase.proposals;
+    stats.accepted_moves += phase.accepted;
+    stats.parallel_updates += phase.iterations * graph.num_vertices();
+    ++stats.outer_iterations;
+
+    search.record(sbp::Snapshot{b.copy_assignment(), b.num_blocks(),
+                                phase.final_mdl});
+  }
+
+  const sbp::Snapshot& best = search.best();
+  out.result.assignment = best.assignment;
+  out.result.num_blocks = best.num_blocks;
+  out.result.mdl = best.mdl;
+  return out;
 }
 
 }  // namespace hsbp::reference

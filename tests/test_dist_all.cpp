@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <bit>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "dist/comm.hpp"
 #include "dist/dist_sbp.hpp"
 #include "dist/partition.hpp"
 #include "generator/dcsbm.hpp"
 #include "metrics/metrics.hpp"
+#include "reference_kernels.hpp"
 
 namespace hsbp::dist {
 namespace {
@@ -25,6 +30,49 @@ generator::GeneratedGraph planted(std::uint64_t seed) {
   p.ratio_within_between = 5.0;
   p.seed = seed;
   return generator::generate_dcsbm(p);
+}
+
+/// Sets the OpenMP default thread count for one scope.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedThreads() { omp_set_num_threads(saved_); }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Two runs are the same chain: same partition, MDL bits, counters,
+/// collectives in order, and per-rank moves.
+void expect_same_run(const DistributedResult& got,
+                     const DistributedResult& want) {
+  EXPECT_EQ(got.result.assignment, want.result.assignment);
+  EXPECT_EQ(got.result.num_blocks, want.result.num_blocks);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.result.mdl),
+            std::bit_cast<std::uint64_t>(want.result.mdl));
+  const sbp::SbpStats& g = got.result.stats;
+  const sbp::SbpStats& w = want.result.stats;
+  EXPECT_EQ(g.outer_iterations, w.outer_iterations);
+  EXPECT_EQ(g.mcmc_iterations, w.mcmc_iterations);
+  EXPECT_EQ(g.proposals, w.proposals);
+  EXPECT_EQ(g.accepted_moves, w.accepted_moves);
+  EXPECT_EQ(g.parallel_updates, w.parallel_updates);
+  EXPECT_EQ(g.serial_updates, w.serial_updates);
+  const auto& got_records = got.comm.records();
+  const auto& want_records = want.comm.records();
+  ASSERT_EQ(got_records.size(), want_records.size());
+  for (std::size_t i = 0; i < got_records.size(); ++i) {
+    EXPECT_EQ(got_records[i].kind, want_records[i].kind) << "record " << i;
+    EXPECT_EQ(got_records[i].bytes, want_records[i].bytes) << "record " << i;
+    EXPECT_EQ(got_records[i].ranks, want_records[i].ranks) << "record " << i;
+  }
+  EXPECT_EQ(got.rank_accepted, want.rank_accepted);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.partition_imbalance),
+            std::bit_cast<std::uint64_t>(want.partition_imbalance));
 }
 
 // ---------------------------------------------------------------- comm
@@ -193,7 +241,78 @@ TEST(Distributed, Validation) {
   const Graph empty;
   config.ranks = 2;
   EXPECT_THROW(run_distributed(empty, config), std::invalid_argument);
+  // sbp::run's config checks apply too.
+  const auto rejects = [&](auto edit) {
+    DistributedConfig bad;
+    bad.ranks = 2;
+    edit(bad.base);
+    EXPECT_THROW(run_distributed(g.graph, bad), std::invalid_argument);
+  };
+  rejects([](sbp::SbpConfig& base) { base.beta = 0.0; });
+  rejects([](sbp::SbpConfig& base) { base.max_mcmc_iterations = 0; });
+  rejects([](sbp::SbpConfig& base) { base.merge_proposals_per_block = 0; });
 }
+
+/// `base.num_threads` sets the thread count as it does for sbp::run: a
+/// run pinned to one thread under a 3-thread default is the run made
+/// at one thread.
+TEST(Distributed, NumThreadsIsHonoured) {
+  const auto g = planted(11);
+  DistributedConfig config;
+  config.ranks = 4;
+  config.base.seed = 7;
+  DistributedResult at_one;
+  {
+    const ScopedThreads one(1);
+    at_one = run_distributed(g.graph, config);
+  }
+  const ScopedThreads three(3);
+  config.base.num_threads = 1;
+  expect_same_run(run_distributed(g.graph, config), at_one);
+}
+
+// ------------------------------------------------ equivalence to the old
+// driver
+
+class DistEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, PartitionStrategy>> {};
+
+/// run_distributed on sbp::run's outer loop replays the driver it
+/// replaced (reference::run_distributed) exactly, at one thread and at
+/// four: D-SBP is deterministic at a fixed thread count.
+TEST_P(DistEquivalence, RunMatchesReferenceDriver) {
+  const auto [ranks, strategy] = GetParam();
+  const auto g = planted(12);
+  DistributedConfig config;
+  config.ranks = ranks;
+  config.strategy = strategy;
+  config.base.seed = 13;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ScopedThreads scoped(threads);
+    const auto want = reference::run_distributed(g.graph, config);
+    ASSERT_GT(want.result.stats.accepted_moves, 0);
+    expect_same_run(run_distributed(g.graph, config), want);
+  }
+}
+
+std::string equivalence_case_name(
+    const ::testing::TestParamInfo<DistEquivalence::ParamType>& info) {
+  const auto [ranks, strategy] = info.param;
+  const char* name = strategy == PartitionStrategy::Range ? "Range"
+                     : strategy == PartitionStrategy::RoundRobin
+                         ? "RoundRobin"
+                         : "DegreeBalanced";
+  return std::to_string(ranks) + "ranks_" + name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksByStrategy, DistEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(PartitionStrategy::Range,
+                                         PartitionStrategy::RoundRobin,
+                                         PartitionStrategy::DegreeBalanced)),
+    equivalence_case_name);
 
 TEST(Distributed, ResultIsADensePartition) {
   const auto g = planted(9);

@@ -240,9 +240,5 @@ TEST(AdaptiveFallback, ThresholdCrossingFlipsPathNotState) {
   expect_identical(via_rebuild, want, g.graph, "just-below threshold");
 }
 
-TEST(AdaptiveFallback, DefaultThresholdMatchesSettingsDefault) {
-  EXPECT_EQ(kDefaultRebuildThreshold, McmcSettings{}.rebuild_threshold);
-}
-
 }  // namespace
 }  // namespace hsbp::sbp::detail

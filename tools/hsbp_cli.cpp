@@ -518,17 +518,23 @@ int cmd_dist(const Args& args) {
         "[generator flags]\n");
     return 0;
   }
-  const auto generated = generated_workload(args);
   hsbp::dist::DistributedConfig config;
   config.base = base_config(args);
   config.ranks = static_cast<int>(args.get_int("ranks", 4));
   const std::string strategy = args.get_string("partition", "balanced");
-  config.strategy =
-      strategy == "range" ? hsbp::dist::PartitionStrategy::Range
-      : strategy == "roundrobin"
-          ? hsbp::dist::PartitionStrategy::RoundRobin
-          : hsbp::dist::PartitionStrategy::DegreeBalanced;
+  if (strategy == "range") {
+    config.strategy = hsbp::dist::PartitionStrategy::Range;
+  } else if (strategy == "roundrobin") {
+    config.strategy = hsbp::dist::PartitionStrategy::RoundRobin;
+  } else if (strategy == "balanced") {
+    config.strategy = hsbp::dist::PartitionStrategy::DegreeBalanced;
+  } else {
+    throw std::invalid_argument(
+        "--partition must be range|roundrobin|balanced, got '" + strategy +
+        "'");
+  }
 
+  const auto generated = generated_workload(args);
   const auto out = hsbp::dist::run_distributed(generated.graph, config);
   std::printf(
       "D-SBP on %d ranks (%s, imbalance %.2f): %d communities, NMI %.3f\n",
