@@ -44,23 +44,18 @@ int main(int argc, char** argv) {
     hsbp::util::Table table({"part", "V", "E", "warm_s", "cold_s",
                              "saving", "warm_NMI", "cold_NMI"});
 
-    // Warm chain, timed per part (same logic as run_streaming, unrolled
-    // so each part's wall time is captured separately).
+    // Warm chain, timed per part (run_streaming's loop, unrolled so each
+    // part's wall time is captured separately).
     std::vector<double> warm_seconds;
     std::vector<hsbp::sbp::SbpResult> warm_results;
     for (std::size_t i = 0; i < stream.snapshots.size(); ++i) {
       hsbp::util::Timer part_timer;
-      if (i == 0 || warm_results.back().num_blocks <= 2) {
-        warm_results.push_back(hsbp::sbp::run(stream.snapshots[i], config));
-      } else {
-        auto blocks = warm_results.back().num_blocks;
-        const auto extended = hsbp::sbp::extend_assignment(
-            stream.snapshots[i], warm_results.back().assignment, blocks);
-        const auto warm_assignment = hsbp::sbp::refine_assignment(
-            extended, blocks, 3, config.seed + i);
-        warm_results.push_back(hsbp::sbp::run_warm(
-            stream.snapshots[i], config, warm_assignment, blocks));
-      }
+      warm_results.push_back(
+          i == 0 ? hsbp::sbp::run(stream.snapshots[i], config)
+                 : hsbp::sbp::warm_refit(
+                       stream.snapshots[i], config,
+                       warm_results.back().assignment,
+                       warm_results.back().num_blocks, 3, config.seed + i));
       warm_seconds.push_back(part_timer.elapsed());
     }
 

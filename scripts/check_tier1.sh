@@ -69,7 +69,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # lists into slices and mirrors serial moves into a workspace by raw
 # vertex and block index. So do D-SBP's equivalence and driver suites:
 # its rank sweep reads and writes the pass-start and next membership
-# buffers by raw vertex id. This is a Debug build (the library keeps its
+# buffers by raw vertex id. So do the SamBaS suites and the warm-start
+# label rules (extend, refine, warm_refit): the vote and compaction
+# arrays are indexed by raw label. This is a Debug build (the library keeps its
 # -O3), so it is also the stage that runs with asserts on: the chain-
 # equivalence and Hastings-bound suites feed stale A-SBP views, whose
 # negative staged counts no assert may reject (DESIGN §13).
@@ -82,8 +84,9 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   "$FAULT_DIR/tests/test_blockmodel" \
     --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
-    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*'
+    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*'
   "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'
+  "$FAULT_DIR/tests/test_sample"
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel

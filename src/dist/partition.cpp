@@ -15,10 +15,20 @@ using graph::Vertex;
 const char* strategy_name(PartitionStrategy strategy) noexcept {
   switch (strategy) {
     case PartitionStrategy::Range: return "range";
-    case PartitionStrategy::RoundRobin: return "round-robin";
-    case PartitionStrategy::DegreeBalanced: return "degree-balanced";
+    case PartitionStrategy::RoundRobin: return "roundrobin";
+    case PartitionStrategy::DegreeBalanced: return "balanced";
   }
   return "?";
+}
+
+PartitionStrategy parse_strategy(const std::string& name) {
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::Range, PartitionStrategy::RoundRobin,
+        PartitionStrategy::DegreeBalanced}) {
+    if (name == strategy_name(strategy)) return strategy;
+  }
+  throw std::invalid_argument("unknown partition '" + name +
+                              "' (range|roundrobin|balanced)");
 }
 
 double VertexPartition::imbalance() const noexcept {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/view.hpp"
@@ -21,7 +22,12 @@ namespace hsbp::dist {
 
 enum class PartitionStrategy { Range, RoundRobin, DegreeBalanced };
 
+/// The `--partition` name: "range", "roundrobin", "balanced".
 const char* strategy_name(PartitionStrategy strategy) noexcept;
+
+/// Inverse of strategy_name. \throws std::invalid_argument on an
+/// unrecognised name.
+PartitionStrategy parse_strategy(const std::string& name);
 
 struct VertexPartition {
   int ranks = 0;

@@ -1,5 +1,7 @@
 #include "eval/experiment.hpp"
 
+#include <omp.h>
+
 #include "metrics/metrics.hpp"
 
 namespace hsbp::eval {
@@ -45,6 +47,8 @@ ExperimentRow run_experiment(const generator::GeneratedGraph& generated,
       updates > 0 ? static_cast<double>(parallel) /
                         static_cast<double>(updates)
                   : 0.0;
+  row.threads =
+      config.num_threads > 0 ? config.num_threads : omp_get_max_threads();
   return row;
 }
 

@@ -34,6 +34,7 @@ struct ExperimentRow {
   // Amdahl accounting (see DESIGN.md §5): share of vertex updates that
   // executed inside OpenMP-parallel loops, over all runs.
   double parallel_update_fraction = 0.0;
+  int threads = 1;  ///< OpenMP threads the runs used
 };
 
 /// Runs `variant` on the generated graph best-of-`runs` and fills a row.

@@ -60,7 +60,6 @@ void print_quality_table(const std::vector<ExperimentRow>& rows,
 void print_speedup_table(const std::vector<ExperimentRow>& rows,
                          std::ostream& out) {
   const auto baselines = collect_baselines(rows);
-  const int threads = omp_get_max_threads();
   util::Table table({"graph", "algorithm", "mcmc_s", "merge_s", "total_s",
                      "mcmc_speedup", "overall_speedup", "parallel_frac",
                      "proj@128t"});
@@ -76,7 +75,8 @@ void print_speedup_table(const std::vector<ExperimentRow>& rows,
     // few-core measurement and the paper's testbed (DESIGN.md §5).
     const double pf = row.parallel_update_fraction;
     const double serial_equiv =
-        row.mcmc_seconds / ((1.0 - pf) + pf / static_cast<double>(threads));
+        row.mcmc_seconds /
+        ((1.0 - pf) + pf / static_cast<double>(row.threads));
     const double projected_time = serial_equiv * ((1.0 - pf) + pf / 128.0);
     const double projected_speedup =
         projected_time > 0 ? base.mcmc_seconds / projected_time : 0.0;

@@ -3,14 +3,17 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
 
+#include "dist/partition.hpp"
+#include "sample/sample_sbp.hpp"
+#include "sbp/labels.hpp"
 #include "sbp/mcmc_phases.hpp"
 #include "sbp/streaming.hpp"
+#include "util/omp_region.hpp"
 #include "util/timer.hpp"
 
 namespace hsbp::ooc {
@@ -27,92 +30,6 @@ void release(const OocConfig& config) {
   if (config.release_cache) config.release_cache();
 }
 
-/// Plurality block among v's already-labeled neighbors — the rule of
-/// sample/extrapolate.cpp (multiplicity counts, ties toward the smaller
-/// block id); −1 if no neighbor is labeled yet.
-BlockId plurality_block(const GraphView& graph,
-                        const std::vector<std::int32_t>& assignment,
-                        std::vector<std::int64_t>& votes,
-                        std::vector<BlockId>& touched, Vertex v) {
-  touched.clear();
-  const auto tally = [&](Vertex u) {
-    const std::int32_t block = assignment[static_cast<std::size_t>(u)];
-    if (block < 0) return;
-    if (votes[static_cast<std::size_t>(block)] == 0) touched.push_back(block);
-    ++votes[static_cast<std::size_t>(block)];
-  };
-  for (const Vertex u : graph.out_neighbors(v)) tally(u);
-  for (const Vertex u : graph.in_neighbors(v)) tally(u);
-
-  BlockId best = -1;
-  std::int64_t best_votes = 0;
-  for (const BlockId block : touched) {
-    const std::int64_t count = votes[static_cast<std::size_t>(block)];
-    votes[static_cast<std::size_t>(block)] = 0;
-    if (count > best_votes || (count == best_votes && block < best)) {
-      best = block;
-      best_votes = count;
-    }
-  }
-  return best;
-}
-
-/// Stage 2: the extrapolation of sample/extrapolate.cpp, minus the
-/// full-graph model build (stage 4 does that chunked) and with the
-/// release hook pulled every `chunk` dequeued vertices so the BFS's
-/// walk over the mapped CSR never accumulates residency.
-void chunked_extrapolate(const GraphView& graph, const OocConfig& config,
-                         const sample::SampledGraph& skeleton,
-                         const std::vector<std::int32_t>& sample_assignment,
-                         BlockId num_blocks,
-                         std::vector<std::int32_t>& assignment,
-                         OocResult& out) {
-  assignment.assign(static_cast<std::size_t>(graph.num_vertices()), -1);
-  for (std::size_t s = 0; s < skeleton.to_full.size(); ++s) {
-    assignment[static_cast<std::size_t>(skeleton.to_full[s])] =
-        sample_assignment[s];
-  }
-
-  std::deque<Vertex> queue(skeleton.to_full.begin(), skeleton.to_full.end());
-  std::vector<std::int64_t> votes(static_cast<std::size_t>(num_blocks), 0);
-  std::vector<BlockId> touched;
-  const auto visit = [&](Vertex u) {
-    if (assignment[static_cast<std::size_t>(u)] >= 0) return;
-    const BlockId block = plurality_block(graph, assignment, votes, touched, u);
-    if (block < 0) return;  // all neighbors still unlabeled; revisit later
-    assignment[static_cast<std::size_t>(u)] = block;
-    ++out.frontier_assigned;
-    queue.push_back(u);
-  };
-  std::int64_t dequeued = 0;
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop_front();
-    for (const Vertex u : graph.out_neighbors(v)) visit(u);
-    for (const Vertex u : graph.in_neighbors(v)) visit(u);
-    if (++dequeued % config.chunk_vertices == 0) release(config);
-  }
-
-  // Vertices with no path to the skeleton: join the largest block so
-  // far (smallest id on ties); the fine-tune moves them somewhere
-  // sensible.
-  BlockId fallback = 0;
-  {
-    std::vector<std::int64_t> sizes(static_cast<std::size_t>(num_blocks), 0);
-    for (const std::int32_t block : assignment) {
-      if (block >= 0) ++sizes[static_cast<std::size_t>(block)];
-    }
-    fallback = static_cast<BlockId>(
-        std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  }
-  for (auto& block : assignment) {
-    if (block < 0) {
-      block = fallback;
-      ++out.isolated_assigned;
-    }
-  }
-}
-
 /// Stage 3, one piece: warm-refit the induced subgraph from its current
 /// global labels and stitch the result back. The piece fit gets a
 /// compacted label space (run_warm requires dense labels); each result
@@ -127,19 +44,12 @@ void refit_piece(const OocConfig& config, const GraphView& graph,
   const auto piece_vertices = piece.subgraph.num_vertices();
   if (piece_vertices < 2 || piece.subgraph.num_edges() == 0) return;
 
-  // Compact this piece's global labels to a dense local space.
-  std::vector<BlockId> local_of_global(static_cast<std::size_t>(num_blocks),
-                                       -1);
-  std::vector<std::int32_t> local_labels(
-      static_cast<std::size_t>(piece_vertices));
-  BlockId local_blocks = 0;
-  for (Vertex s = 0; s < piece_vertices; ++s) {
-    const std::int32_t global = assignment[static_cast<std::size_t>(
-        piece.to_full[static_cast<std::size_t>(s)])];
-    auto& local = local_of_global[static_cast<std::size_t>(global)];
-    if (local < 0) local = local_blocks++;
-    local_labels[static_cast<std::size_t>(s)] = local;
+  // This piece's global labels, compacted to a dense local space.
+  std::vector<std::int32_t> local_labels;
+  for (const Vertex v : piece.to_full) {
+    local_labels.push_back(assignment[static_cast<std::size_t>(v)]);
   }
+  const BlockId local_blocks = sbp::compact_labels(local_labels, num_blocks);
 
   sbp::SbpConfig piece_config = config.base;
   piece_config.seed =
@@ -173,22 +83,6 @@ void refit_piece(const OocConfig& config, const GraphView& graph,
   }
 }
 
-/// Compacts labels to a dense [0, C') space (pieces can abandon a
-/// skeleton block entirely). Returns the new block count.
-BlockId compact_labels(std::vector<std::int32_t>& assignment,
-                       BlockId num_blocks) {
-  std::vector<std::int32_t> dense(static_cast<std::size_t>(num_blocks), -1);
-  BlockId next = 0;
-  for (const std::int32_t block : assignment) {
-    auto& d = dense[static_cast<std::size_t>(block)];
-    if (d < 0) d = next++;
-  }
-  for (auto& block : assignment) {
-    block = dense[static_cast<std::size_t>(block)];
-  }
-  return next;
-}
-
 }  // namespace
 
 std::int64_t estimated_csr_bytes(Vertex num_vertices,
@@ -220,6 +114,9 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   if (graph.num_vertices() <= 0) {
     throw std::invalid_argument("ooc::fit: graph has no vertices");
   }
+  if (graph.num_edges() <= 0) {
+    throw std::invalid_argument("ooc::fit: graph has no edges");
+  }
   if (!(config.skeleton_fraction > 0.0) || config.skeleton_fraction > 1.0) {
     throw std::invalid_argument("ooc::fit: skeleton_fraction outside (0, 1]");
   }
@@ -230,6 +127,7 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   if (config.chunk_vertices <= 0) {
     throw std::invalid_argument("ooc::fit: chunk_vertices must be positive");
   }
+  const util::ScopedThreads threads(config.base.num_threads);
 
   OocResult out;
   out.estimated_csr_bytes =
@@ -240,20 +138,22 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   // Stage 1: skeleton sample + fit. The sampler walks the full view
   // (degree reads / frontier growth), so drop pages before the heavy
   // subgraph fit starts.
-  sample::SampledGraph skeleton = sample::sample_graph(
+  const sample::SampledGraph skeleton = sample::sample_graph(
       graph, config.sampler, config.skeleton_fraction, config.base.seed);
   release(config);
   out.skeleton_vertices = skeleton.subgraph.num_vertices();
   out.skeleton_edges = skeleton.subgraph.num_edges();
-  const sbp::SbpResult skeleton_fit = sbp::run(skeleton.subgraph, config.base);
+  const sbp::SbpResult skeleton_fit =
+      sample::partition_sample(skeleton.subgraph, config.base);
   out.timings.skeleton_seconds = stage.elapsed();
 
   // Stage 2: chunked BFS-plurality extrapolation to the full view.
   stage.reset();
-  std::vector<std::int32_t> assignment;
-  chunked_extrapolate(graph, config, skeleton, skeleton_fit.assignment,
-                      skeleton_fit.num_blocks, assignment, out);
-  BlockId num_blocks = skeleton_fit.num_blocks;
+  sample::ExtrapolationResult extrapolated = sample::extrapolate(
+      graph, skeleton, skeleton_fit.assignment, skeleton_fit.num_blocks,
+      config.release_cache, config.chunk_vertices);
+  std::vector<std::int32_t>& assignment = extrapolated.assignment;
+  BlockId num_blocks = extrapolated.num_blocks;
   release(config);
   out.timings.extrapolate_seconds = stage.elapsed();
 
@@ -263,8 +163,9 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   out.pieces_planned = plan_pieces(graph.num_vertices(), graph.num_edges(),
                                    config.memory_budget_mb, config.pieces);
   if (out.pieces_planned > 1) {
+    // Range: each piece's CSR reads stay contiguous in the mapped file.
     const dist::VertexPartition partition = dist::partition_vertices(
-        graph, out.pieces_planned, config.partition);
+        graph, out.pieces_planned, dist::PartitionStrategy::Range);
     release(config);
     for (int rank = 0; rank < partition.ranks; ++rank) {
       if (partition.members[static_cast<std::size_t>(rank)].empty()) continue;
@@ -274,7 +175,8 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
       ++out.pieces_refit;
       release(config);
     }
-    num_blocks = compact_labels(assignment, num_blocks);
+    // Pieces can abandon a skeleton block entirely.
+    num_blocks = sbp::compact_labels(assignment, num_blocks);
   }
   out.timings.pieces_seconds = stage.elapsed();
 
@@ -285,7 +187,7 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
       [&config] { release(config); });
   util::Rng rng(config.base.seed ^ 0x00c0ffee00c0ffeeULL);
   sbp::McmcSettings settings;
-  settings.threshold = config.finetune_threshold;
+  settings.threshold = sample::kFinetuneThreshold;
   settings.max_iterations = config.finetune_max_iterations;
   sbp::McmcPhaseStats stats;
   sbp::SweepTally tally;

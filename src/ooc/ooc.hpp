@@ -8,16 +8,16 @@
 ///
 ///   1. skeleton   — SamBaS-sample a fraction of the vertices
 ///                   (samplers.hpp) and fit the induced subgraph with
-///                   the configured sbp::Variant. Only the skeleton
-///                   subgraph lives on the heap.
-///   2. extrapolate— BFS-plurality propagation of the skeleton's blocks
-///                   to every vertex (the rule of extrapolate.cpp),
-///                   chunked: every `chunk_vertices` dequeues the
-///                   release_cache hook drops the mapped CSR pages the
-///                   frontier just crossed.
-///   3. pieces     — partition the vertex set into K pieces
-///                   (dist::partition_vertices; K from the budget vs.
-///                   the in-memory CSR estimate), induce each piece's
+///                   the configured sbp::Variant (sample::
+///                   partition_sample). Only the skeleton subgraph
+///                   lives on the heap.
+///   2. extrapolate— sample::extrapolate of the skeleton's blocks to
+///                   every vertex, chunked: every `chunk_vertices`
+///                   dequeues the release_cache hook drops the mapped
+///                   CSR pages the frontier just crossed.
+///   3. pieces     — partition the vertex set into K contiguous id
+///                   ranges (dist::partition_vertices; K from the budget
+///                   vs. the in-memory CSR estimate), induce each piece's
 ///                   subgraph one at a time, and warm-refit it from the
 ///                   extrapolated labels (sbp::run_warm). Piece-local
 ///                   results are stitched back by plurality over the
@@ -41,7 +41,6 @@
 #include <functional>
 #include <vector>
 
-#include "dist/partition.hpp"
 #include "graph/view.hpp"
 #include "sample/samplers.hpp"
 #include "sbp/sbp.hpp"
@@ -64,13 +63,8 @@ struct OocConfig {
   /// Explicit piece count; 0 derives it from the budget.
   int pieces = 0;
 
-  /// How vertices map to pieces. Range keeps each piece's CSR reads
-  /// contiguous in the mapped file — the right default for mmap.
-  dist::PartitionStrategy partition = dist::PartitionStrategy::Range;
-
   /// Full-view fine-tune passes (0 disables stage 4's MCMC polish).
   int finetune_max_iterations = 10;
-  double finetune_threshold = 1e-4;
 
   /// Vertices scanned between release_cache calls in the chunked
   /// stages (extrapolate, model build, fine-tune).
@@ -101,8 +95,6 @@ struct OocResult {
   graph::EdgeCount skeleton_edges = 0;
   int pieces_planned = 0;               ///< K chosen for stage 3
   int pieces_refit = 0;                 ///< pieces large enough to refit
-  std::int64_t frontier_assigned = 0;   ///< extrapolated via BFS plurality
-  std::int64_t isolated_assigned = 0;   ///< fallback-labeled (no core path)
   std::int64_t finetune_moves = 0;      ///< stage-4 accepted moves
   std::int64_t estimated_csr_bytes = 0; ///< in-memory CSR footprint estimate
 };
@@ -123,8 +115,8 @@ int plan_pieces(graph::Vertex num_vertices, graph::EdgeCount num_edges,
 std::int64_t peak_rss_kb() noexcept;
 
 /// Runs the four-stage pipeline. Deterministic in config.base.seed.
-/// \throws std::invalid_argument on an empty graph or bad config
-/// values.
+/// \throws std::invalid_argument on a graph without vertices or edges,
+/// or bad config values.
 OocResult fit(const graph::GraphView& graph, const OocConfig& config);
 
 }  // namespace hsbp::ooc

@@ -4,48 +4,18 @@
 #include <deque>
 #include <stdexcept>
 
+#include "sbp/labels.hpp"
+
 namespace hsbp::sample {
 
 using blockmodel::BlockId;
 using graph::GraphView;
 using graph::Vertex;
 
-namespace {
-
-/// Plurality block among v's already-labeled neighbors, counting edge
-/// multiplicity in both directions; −1 if no neighbor is labeled yet.
-BlockId plurality_block(const GraphView& graph,
-                        const std::vector<std::int32_t>& assignment,
-                        std::vector<std::int64_t>& votes,
-                        std::vector<BlockId>& touched, Vertex v) {
-  touched.clear();
-  const auto tally = [&](Vertex u) {
-    const std::int32_t block = assignment[static_cast<std::size_t>(u)];
-    if (block < 0) return;
-    if (votes[static_cast<std::size_t>(block)] == 0) touched.push_back(block);
-    ++votes[static_cast<std::size_t>(block)];
-  };
-  for (const Vertex u : graph.out_neighbors(v)) tally(u);
-  for (const Vertex u : graph.in_neighbors(v)) tally(u);
-
-  BlockId best = -1;
-  std::int64_t best_votes = 0;
-  for (const BlockId block : touched) {
-    const std::int64_t count = votes[static_cast<std::size_t>(block)];
-    votes[static_cast<std::size_t>(block)] = 0;
-    if (count > best_votes || (count == best_votes && block < best)) {
-      best = block;
-      best_votes = count;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 ExtrapolationResult extrapolate(
     const GraphView& graph, const SampledGraph& sampled,
-    std::span<const std::int32_t> sample_assignment, BlockId num_blocks) {
+    std::span<const std::int32_t> sample_assignment, BlockId num_blocks,
+    const std::function<void()>& release, Vertex release_period) {
   if (sample_assignment.size() != sampled.to_full.size()) {
     throw std::invalid_argument(
         "extrapolate: sample assignment size != sample size");
@@ -57,6 +27,9 @@ ExtrapolationResult extrapolate(
   }
   if (num_blocks <= 0) {
     throw std::invalid_argument("extrapolate: num_blocks must be positive");
+  }
+  if (release && release_period <= 0) {
+    throw std::invalid_argument("extrapolate: release_period must be >= 1");
   }
 
   ExtrapolationResult out;
@@ -79,17 +52,19 @@ ExtrapolationResult extrapolate(
   const auto visit = [&](Vertex u) {
     if (out.assignment[static_cast<std::size_t>(u)] >= 0) return;
     const BlockId block =
-        plurality_block(graph, out.assignment, votes, touched, u);
+        sbp::plurality_block(graph, out.assignment, votes, touched, u);
     if (block < 0) return;  // all neighbors still unlabeled; revisit later
     out.assignment[static_cast<std::size_t>(u)] = block;
     ++out.frontier_assigned;
     queue.push_back(u);
   };
+  Vertex dequeued = 0;
   while (!queue.empty()) {
     const Vertex v = queue.front();
     queue.pop_front();
     for (const Vertex u : graph.out_neighbors(v)) visit(u);
     for (const Vertex u : graph.in_neighbors(v)) visit(u);
+    if (release && ++dequeued % release_period == 0) release();
   }
 
   // Vertices with no path to the sampled core: the globally best block
@@ -109,10 +84,6 @@ ExtrapolationResult extrapolate(
       ++out.isolated_assigned;
     }
   }
-
-  out.model =
-      blockmodel::Blockmodel::from_assignment(graph, out.assignment,
-                                              num_blocks);
   return out;
 }
 

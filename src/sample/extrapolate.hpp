@@ -13,9 +13,12 @@
 /// in components with no sampled vertex have no signal at all and join
 /// the globally best (largest) block; the fine-tune stage is what moves
 /// them somewhere sensible.
+/// The vote is sbp::plurality_block. The stage builds no blockmodel:
+/// sample::run builds one in memory, ooc::fit a chunked one.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,8 +32,6 @@ struct ExtrapolationResult {
   /// Full-graph membership: every vertex in [0, num_blocks).
   std::vector<std::int32_t> assignment;
   blockmodel::BlockId num_blocks = 0;
-  /// Blockmodel rebuilt from `assignment` (the fine-tune start state).
-  blockmodel::Blockmodel model;
   /// Unsampled vertices labeled via the BFS frontier…
   std::int64_t frontier_assigned = 0;
   /// …and via the isolated-vertex fallback (no path to the core).
@@ -38,11 +39,15 @@ struct ExtrapolationResult {
 };
 
 /// Propagates `sample_assignment` (a partition of `sampled.subgraph`
-/// into [0, num_blocks)) onto every vertex of `graph`.
-/// \throws std::invalid_argument if sizes or labels are inconsistent.
+/// into [0, num_blocks)) onto every vertex of `graph`, calling a
+/// non-empty `release` after every `release_period` dequeued vertices.
+/// \throws std::invalid_argument if sizes, labels or the period are
+/// inconsistent.
 ExtrapolationResult extrapolate(const graph::GraphView& graph,
                                 const SampledGraph& sampled,
                                 std::span<const std::int32_t> sample_assignment,
-                                blockmodel::BlockId num_blocks);
+                                blockmodel::BlockId num_blocks,
+                                const std::function<void()>& release = {},
+                                graph::Vertex release_period = 0);
 
 }  // namespace hsbp::sample

@@ -16,6 +16,7 @@
 #include "ckpt/shutdown.hpp"
 #include "util/errors.hpp"
 #include "util/logger.hpp"
+#include "util/omp_region.hpp"
 #include "util/timer.hpp"
 
 namespace hsbp::sample {
@@ -46,29 +47,13 @@ void validate(const Graph& graph, const SampleConfig& config) {
   }
 }
 
-/// Stage 2: fit the induced subgraph. A too-aggressive sample can leave
-/// no edges at all — then there is nothing to fit and every sampled
-/// vertex keeps its own block (the merge work happens implicitly in the
-/// fine-tune stage).
-sbp::SbpResult partition_sample(const Graph& subgraph,
-                                const sbp::SbpConfig& base,
-                                const ckpt::CheckpointConfig& ck) {
-  if (subgraph.num_edges() > 0) return sbp::run(subgraph, base, ck);
-  sbp::SbpResult identity;
-  identity.assignment.resize(
-      static_cast<std::size_t>(subgraph.num_vertices()));
-  std::iota(identity.assignment.begin(), identity.assignment.end(), 0);
-  identity.num_blocks = subgraph.num_vertices();
-  return identity;
-}
-
 /// Stage 4: bounded full-graph MCMC passes with the variant's own phase
 /// kernel, converging on the same ΔMDL window rule as the core driver.
 sbp::PhaseOutcome finetune(const Graph& graph, Blockmodel& model,
                            const SampleConfig& config) {
   sbp::McmcSettings settings;
   settings.beta = config.base.beta;
-  settings.threshold = config.finetune_threshold;
+  settings.threshold = kFinetuneThreshold;
   settings.max_iterations = config.finetune_max_iterations;
   settings.schedule = config.base.schedule;
 
@@ -110,6 +95,18 @@ ckpt::SampleCheckpoint pipeline_checkpoint(const Graph& graph,
 
 }  // namespace
 
+sbp::SbpResult partition_sample(const Graph& subgraph,
+                                const sbp::SbpConfig& base,
+                                const ckpt::CheckpointConfig& checkpoint) {
+  if (subgraph.num_edges() > 0) return sbp::run(subgraph, base, checkpoint);
+  sbp::SbpResult identity;
+  identity.assignment.resize(
+      static_cast<std::size_t>(subgraph.num_vertices()));
+  std::iota(identity.assignment.begin(), identity.assignment.end(), 0);
+  identity.num_blocks = subgraph.num_vertices();
+  return identity;
+}
+
 SamplePipelineResult run(const Graph& graph, const SampleConfig& config) {
   return run(graph, config, ckpt::CheckpointConfig{});
 }
@@ -117,9 +114,7 @@ SamplePipelineResult run(const Graph& graph, const SampleConfig& config) {
 SamplePipelineResult run(const Graph& graph, const SampleConfig& config,
                          const ckpt::CheckpointConfig& ck) {
   validate(graph, config);
-  if (config.base.num_threads > 0) {
-    omp_set_num_threads(config.base.num_threads);
-  }
+  const util::ScopedThreads threads(config.base.num_threads);
 
   // Resolve what the resume path holds: a pipeline snapshot (a stage
   // boundary was reached), a partial stage-2 fit (killed mid-fit), or
@@ -226,11 +221,12 @@ SamplePipelineResult run(const Graph& graph, const SampleConfig& config,
     ExtrapolationResult extrapolated =
         extrapolate(graph, sampled, result.sample_result.assignment,
                     result.sample_result.num_blocks);
+    model = Blockmodel::from_assignment(graph, extrapolated.assignment,
+                                        extrapolated.num_blocks);
     result.timings.extrapolate_seconds = stage.elapsed();
     result.frontier_assigned = extrapolated.frontier_assigned;
     result.isolated_assigned = extrapolated.isolated_assigned;
 
-    model = std::move(extrapolated.model);
     extrapolated_mdl =
         blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
     result.assignment = std::move(extrapolated.assignment);

@@ -32,6 +32,9 @@
 
 namespace hsbp::sample {
 
+/// Convergence threshold t of this pipeline's and ooc::fit's fine-tune.
+inline constexpr double kFinetuneThreshold = 1e-4;
+
 struct SampleConfig {
   /// Variant, seed, threads, β, … used for the sample fit; the seed also
   /// drives the sampler, and β/threads the fine-tune passes.
@@ -46,8 +49,6 @@ struct SampleConfig {
   /// Upper bound on full-graph fine-tune MCMC passes (0 disables the
   /// stage; the convergence window can stop it earlier).
   int finetune_max_iterations = 20;
-  /// Convergence threshold t for the fine-tune pass loop.
-  double finetune_threshold = 1e-4;
 };
 
 /// Wall-clock seconds per pipeline stage (the sampling counterpart of
@@ -79,6 +80,13 @@ struct SamplePipelineResult {
   /// sample fit so far) and the on-disk checkpoint is resumable.
   bool interrupted = false;
 };
+
+/// Stage 2, also ooc::fit's skeleton fit: sbp::run on the sample. A
+/// sample with no edges has nothing to fit, so every sampled vertex
+/// keeps its own block and the fine-tune does the merging.
+sbp::SbpResult partition_sample(const graph::Graph& subgraph,
+                                const sbp::SbpConfig& base,
+                                const ckpt::CheckpointConfig& checkpoint = {});
 
 /// Runs the full pipeline. Deterministic in config.base.seed (sampler,
 /// subgraph fit, and fine-tune all derive from it).

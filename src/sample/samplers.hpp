@@ -3,8 +3,9 @@
 /// arXiv:2108.06651): each strategy selects a fixed-size vertex subset
 /// and induces the subgraph SBP will actually partition.
 ///
-/// All four strategies sit behind one Sampler interface and draw from
-/// util::Rng, so a (kind, fraction, seed) triple is fully deterministic:
+/// All four strategies sit behind one select_vertices switch and draw
+/// from util::Rng, so a (kind, fraction, seed) triple is fully
+/// deterministic:
 ///
 ///   UniformRandom     — every vertex equally likely; unbiased but tends
 ///                       to shatter sparse graphs into fragments;
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,26 +60,15 @@ struct SampledGraph {
   graph::Graph subgraph;                 ///< induced on the sampled set
   std::vector<graph::Vertex> to_full;    ///< sample id → full id (ascending)
   std::vector<graph::Vertex> to_sample;  ///< full id → sample id, −1 if out
-  SamplerKind kind = SamplerKind::UniformRandom;
 };
 
-/// Strategy interface: select exactly `target` distinct vertices of
-/// `graph`. Implementations must be deterministic in the rng state.
-class Sampler {
- public:
-  virtual ~Sampler() = default;
-
-  virtual SamplerKind kind() const noexcept = 0;
-  const char* name() const noexcept { return sampler_name(kind()); }
-
-  /// Returns `target` distinct vertex ids (unordered).
-  /// \pre 1 <= target <= graph.num_vertices().
-  virtual std::vector<graph::Vertex> select(const graph::GraphView& graph,
-                                            graph::Vertex target,
-                                            util::Rng& rng) const = 0;
-};
-
-std::unique_ptr<Sampler> make_sampler(SamplerKind kind);
+/// Selects exactly `target` distinct vertex ids (unordered) of `graph`
+/// by `kind`'s rule, deterministically in the rng state.
+/// \pre 1 <= target <= graph.num_vertices().
+std::vector<graph::Vertex> select_vertices(const graph::GraphView& graph,
+                                           SamplerKind kind,
+                                           graph::Vertex target,
+                                           util::Rng& rng);
 
 /// Builds the induced subgraph over `vertices` (relabeled ascending;
 /// duplicates rejected). Every full-graph edge whose endpoints are both

@@ -16,6 +16,7 @@
 #include "sbp/golden_search.hpp"
 #include "util/errors.hpp"
 #include "util/logger.hpp"
+#include "util/omp_region.hpp"
 #include "util/timer.hpp"
 
 namespace hsbp::sbp {
@@ -86,7 +87,7 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
                    GoldenSearch search, const SbpStats& resumed_stats,
                    std::span<const util::Rng::State> rng_states,
                    const ckpt::CheckpointConfig& ck) {
-  if (config.num_threads > 0) omp_set_num_threads(config.num_threads);
+  const util::ScopedThreads threads(config.num_threads);
 
   util::Timer total_timer;
   util::RngPool rngs(config.seed,

@@ -1,84 +1,28 @@
 #include "sbp/streaming.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "sbp/labels.hpp"
 #include "util/timer.hpp"
 
 namespace hsbp::sbp {
 
 using blockmodel::BlockId;
 using graph::Graph;
-using graph::Vertex;
 
-std::vector<std::int32_t> extend_assignment(
-    const Graph& graph, const std::vector<std::int32_t>& assignment,
-    BlockId& num_blocks) {
-  const auto v_count = static_cast<std::size_t>(graph.num_vertices());
-  if (assignment.size() > v_count) {
-    throw std::invalid_argument(
-        "extend_assignment: snapshot has fewer vertices than the previous "
-        "partition");
-  }
-  std::vector<std::int32_t> extended(v_count, -1);
-  std::copy(assignment.begin(), assignment.end(), extended.begin());
-
-  // New vertices in id order: adopt the most common labeled neighbor
-  // block. Earlier-extended new vertices count as labeled, so chains of
-  // new vertices attach to the existing structure where possible.
-  for (std::size_t v = assignment.size(); v < v_count; ++v) {
-    std::unordered_map<std::int32_t, int> votes;
-    const auto vertex = static_cast<Vertex>(v);
-    const auto tally = [&](Vertex u) {
-      if (static_cast<std::size_t>(u) == v) return;
-      const std::int32_t label = extended[static_cast<std::size_t>(u)];
-      if (label >= 0) ++votes[label];
-    };
-    for (const Vertex u : graph.out_neighbors(vertex)) tally(u);
-    for (const Vertex u : graph.in_neighbors(vertex)) tally(u);
-
-    if (votes.empty()) {
-      extended[v] = num_blocks++;
-      continue;
-    }
-    std::int32_t best_label = -1;
-    int best_votes = 0;
-    for (const auto& [label, count] : votes) {
-      if (count > best_votes ||
-          (count == best_votes && label < best_label)) {
-        best_label = label;
-        best_votes = count;
-      }
-    }
-    extended[v] = best_label;
-  }
-  return extended;
-}
-
-std::vector<std::int32_t> refine_assignment(
-    std::span<const std::int32_t> assignment, BlockId& num_blocks,
-    int factor, std::uint64_t seed) {
-  if (factor < 1) {
-    throw std::invalid_argument("refine_assignment: factor >= 1");
-  }
-  util::Rng rng(seed);
-  std::vector<std::int32_t> refined(assignment.size());
-  for (std::size_t v = 0; v < assignment.size(); ++v) {
-    const auto sub = static_cast<std::int32_t>(
-        rng.uniform_int(static_cast<std::uint64_t>(factor)));
-    refined[v] = assignment[v] * factor + sub;
-  }
-  // Compact to the occupied labels.
-  std::unordered_map<std::int32_t, std::int32_t> remap;
-  for (auto& label : refined) {
-    const auto [it, inserted] =
-        remap.try_emplace(label, static_cast<std::int32_t>(remap.size()));
-    label = it->second;
-  }
-  num_blocks = static_cast<BlockId>(remap.size());
-  return refined;
+// Apart from labels.cpp and sbp.cpp: ld --wrap traces only cross-object
+// calls, and perfbench's warm_start and search layers wrap the callees.
+SbpResult warm_refit(const Graph& graph, const SbpConfig& config,
+                     const std::vector<std::int32_t>& previous,
+                     BlockId previous_blocks, int refine_factor,
+                     std::uint64_t refine_seed) {
+  if (previous_blocks <= 2) return run(graph, config);
+  BlockId num_blocks = previous_blocks;
+  const auto extended = extend_assignment(graph, previous, num_blocks);
+  const auto warm =
+      refine_assignment(extended, num_blocks, refine_factor, refine_seed);
+  return run_warm(graph, config, warm, num_blocks);
 }
 
 StreamingResult run_streaming(const std::vector<Graph>& snapshots,
@@ -113,21 +57,12 @@ StreamingResult run_streaming(const std::vector<Graph>& snapshots,
       result.snapshots.push_back(std::move(trivial));
       continue;
     }
-    // Merges only coarsen, so a warm start can refine downward from its
-    // block count but never split upward. A near-trivial previous
-    // partition (<= 2 blocks) therefore pins the search; re-run cold in
-    // that case.
-    if (part == 0 || result.snapshots.back().num_blocks <= 2) {
-      result.snapshots.push_back(run(graph, config));
-      continue;
-    }
-    const SbpResult& previous = result.snapshots.back();
-    BlockId num_blocks = previous.num_blocks;
-    const auto extended =
-        extend_assignment(graph, previous.assignment, num_blocks);
-    const auto warm = refine_assignment(extended, num_blocks, refine_factor,
-                                        config.seed + part);
-    result.snapshots.push_back(run_warm(graph, config, warm, num_blocks));
+    result.snapshots.push_back(
+        part == 0
+            ? run(graph, config)
+            : warm_refit(graph, config, result.snapshots.back().assignment,
+                         result.snapshots.back().num_blocks, refine_factor,
+                         config.seed + part));
   }
 
   result.total_seconds = total.elapsed();

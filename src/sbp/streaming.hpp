@@ -8,11 +8,6 @@
 /// algorithms: each cumulative snapshot is fitted by warm-starting from
 /// the previous partition instead of from the identity partition, which
 /// is where streaming saves its time.
-///
-/// Warm-start rule for vertices unseen in the previous snapshot: adopt
-/// the most common block among already-labeled neighbors; vertices with
-/// no labeled neighbor open a fresh singleton block (the subsequent
-/// merge phase folds it wherever it belongs).
 #pragma once
 
 #include <cstdint>
@@ -23,14 +18,6 @@
 
 namespace hsbp::sbp {
 
-/// Extends a partition of a smaller vertex set to `graph`'s vertex set
-/// using the neighbor-majority rule above. `assignment` may be empty
-/// (every vertex gets its own block). Returns the extended assignment;
-/// `num_blocks` is updated to include any fresh singleton blocks.
-std::vector<std::int32_t> extend_assignment(
-    const graph::Graph& graph, const std::vector<std::int32_t>& assignment,
-    blockmodel::BlockId& num_blocks);
-
 /// Runs the configured variant on `graph` starting from an arbitrary
 /// evaluated partition instead of the identity partition (the warm-start
 /// entry point streaming builds on; run() is the cold-start special
@@ -39,16 +26,14 @@ SbpResult run_warm(const graph::Graph& graph, const SbpConfig& config,
                    std::span<const std::int32_t> assignment,
                    blockmodel::BlockId num_blocks);
 
-/// Randomly splits every block into up to `factor` sub-blocks and
-/// compacts the labels. Warm starts need this because the golden
-/// search only merges downward: new edges may reveal that a previous
-/// block must *split*, and the refined partition puts the optimum back
-/// below the starting block count while keeping most of the learned
-/// structure (coherent sub-blocks re-merge in one cheap merge phase).
-/// Deterministic in `seed`. \pre factor >= 1.
-std::vector<std::int32_t> refine_assignment(
-    std::span<const std::int32_t> assignment, blockmodel::BlockId& num_blocks,
-    int factor, std::uint64_t seed);
+/// The one warm refit (run_streaming, the daemon's refits): extend
+/// `previous` to `graph`, refine it by `refine_factor` seeded with
+/// `refine_seed`, and run_warm. Merges only coarsen, so a previous
+/// partition of <= 2 blocks would pin the search: that re-fits cold.
+SbpResult warm_refit(const graph::Graph& graph, const SbpConfig& config,
+                     const std::vector<std::int32_t>& previous,
+                     blockmodel::BlockId previous_blocks, int refine_factor,
+                     std::uint64_t refine_seed);
 
 struct StreamingResult {
   /// Result after each cumulative snapshot (last = final answer).
@@ -56,9 +41,8 @@ struct StreamingResult {
   double total_seconds = 0.0;
 };
 
-/// Fits each cumulative snapshot in order, warm-starting from the
-/// previous snapshot's partition (extended to new vertices, then
-/// refined by `refine_factor` — see refine_assignment). Snapshots must
+/// Fits each cumulative snapshot in order, each after the first by
+/// warm_refit from the previous snapshot's partition. Snapshots must
 /// be cumulative: each graph contains at least the vertices of its
 /// predecessor (typically produced by generator::streaming_snapshots).
 /// \throws std::invalid_argument on an empty snapshot list, a shrinking

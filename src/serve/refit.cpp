@@ -107,21 +107,10 @@ bool RefitScheduler::refit_store(GraphStore& store) {
   auto grown =
       std::make_shared<const Graph>(Graph::from_edges(num_vertices, edges));
 
-  // Warm start from the served partition, exactly as run_streaming
-  // does between snapshots; a near-trivial previous partition pins the
-  // merge-only search, so re-fit cold in that case.
-  sbp::SbpResult fit;
-  if (previous->num_blocks <= 2) {
-    fit = sbp::run(*grown, config_.base);
-  } else {
-    blockmodel::BlockId num_blocks = previous->num_blocks;
-    const auto extended =
-        sbp::extend_assignment(*grown, previous->assignment, num_blocks);
-    const auto warm = sbp::refine_assignment(
-        extended, num_blocks, config_.refine_factor,
-        config_.base.seed + previous->epoch);
-    fit = sbp::run_warm(*grown, config_.base, warm, num_blocks);
-  }
+  // Warm start from the served partition, as run_streaming does.
+  const sbp::SbpResult fit = sbp::warm_refit(
+      *grown, config_.base, previous->assignment, previous->num_blocks,
+      config_.refine_factor, config_.base.seed + previous->epoch);
 
   auto next = make_snapshot(std::move(grown), fit.assignment,
                             fit.num_blocks, fit.mdl, previous->epoch + 1);

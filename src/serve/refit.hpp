@@ -2,11 +2,11 @@
 /// \brief Streaming re-fit scheduler of the serving daemon.
 ///
 /// INGEST batches queue inside each GraphStore; one background thread
-/// drains them, grows the graph, and re-fits *warm* — the streaming
-/// machinery of src/sbp/streaming.*: extend_assignment labels the new
-/// vertices by neighbor majority, refine_assignment splits blocks so
-/// the merge-only golden search can move both ways, run_warm continues
-/// from the learned structure instead of the identity partition. The
+/// drains them, grows the graph, and re-fits *warm* with sbp::warm_refit
+/// (src/sbp/streaming.*): extend_assignment labels the new vertices by
+/// neighbor majority, refine_assignment splits blocks so the merge-only
+/// golden search can move both ways, run_warm continues from the
+/// learned structure instead of the identity partition. The
 /// result is published as a fresh immutable Snapshot (queries never
 /// wait on a refit) and, when a checkpoint directory is configured,
 /// persisted through ckpt::save_serve_checkpoint before the epoch is

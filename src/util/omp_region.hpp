@@ -64,4 +64,20 @@ inline void omp_region_barrier() noexcept {
   tsan_omp_sync();  // acquire every thread's phase writes
 }
 
+/// How a driver applies its `num_threads`: sets the OpenMP team size to
+/// `threads` for one scope when `threads` > 0, and restores the caller's
+/// on exit so a run's thread count never leaks into later regions.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
+    if (threads > 0) omp_set_num_threads(threads);
+  }
+  ~ScopedThreads() { omp_set_num_threads(saved_); }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
 }  // namespace hsbp::util

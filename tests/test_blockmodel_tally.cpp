@@ -8,8 +8,6 @@
 /// of `nb` in between, and checks every gather against the reference.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cstdint>
 #include <tuple>
 #include <utility>
@@ -21,6 +19,7 @@
 #include "graph/graph.hpp"
 #include "reference_kernels.hpp"
 #include "sbp/proposal.hpp"
+#include "util/omp_region.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::blockmodel {
@@ -28,20 +27,6 @@ namespace {
 
 using graph::Graph;
 using graph::Vertex;
-
-/// Restores the OpenMP thread count on scope exit.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ScopedThreads() { omp_set_num_threads(saved_); }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  int saved_;
-};
 
 struct BuildCase {
   Vertex vertices;
@@ -84,7 +69,7 @@ class BuildSliceOrder
 
 TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
   const BuildCase& bc = kBuildCases[std::get<0>(GetParam())];
-  const ScopedThreads threads(std::get<1>(GetParam()));
+  const util::ScopedThreads threads(std::get<1>(GetParam()));
 
   generator::DcsbmParams params;
   params.num_vertices = bc.vertices;

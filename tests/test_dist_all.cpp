@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <bit>
 #include <numeric>
@@ -14,6 +13,7 @@
 #include "generator/dcsbm.hpp"
 #include "metrics/metrics.hpp"
 #include "reference_kernels.hpp"
+#include "util/omp_region.hpp"
 
 namespace hsbp::dist {
 namespace {
@@ -31,20 +31,6 @@ generator::GeneratedGraph planted(std::uint64_t seed) {
   p.seed = seed;
   return generator::generate_dcsbm(p);
 }
-
-/// Sets the OpenMP default thread count for one scope.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ScopedThreads() { omp_set_num_threads(saved_); }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  int saved_;
-};
 
 /// Two runs are the same chain: same partition, MDL bits, counters,
 /// collectives in order, and per-rank moves.
@@ -163,9 +149,14 @@ TEST(Partition, RejectsZeroRanks) {
 
 TEST(Partition, StrategyNames) {
   EXPECT_STREQ(strategy_name(PartitionStrategy::Range), "range");
-  EXPECT_STREQ(strategy_name(PartitionStrategy::RoundRobin), "round-robin");
-  EXPECT_STREQ(strategy_name(PartitionStrategy::DegreeBalanced),
-               "degree-balanced");
+  EXPECT_STREQ(strategy_name(PartitionStrategy::RoundRobin), "roundrobin");
+  EXPECT_STREQ(strategy_name(PartitionStrategy::DegreeBalanced), "balanced");
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::Range, PartitionStrategy::RoundRobin,
+        PartitionStrategy::DegreeBalanced}) {
+    EXPECT_EQ(parse_strategy(strategy_name(strategy)), strategy);
+  }
+  EXPECT_THROW(parse_strategy("round-robin"), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- D-SBP
@@ -263,10 +254,10 @@ TEST(Distributed, NumThreadsIsHonoured) {
   config.base.seed = 7;
   DistributedResult at_one;
   {
-    const ScopedThreads one(1);
+    const util::ScopedThreads one(1);
     at_one = run_distributed(g.graph, config);
   }
-  const ScopedThreads three(3);
+  const util::ScopedThreads three(3);
   config.base.num_threads = 1;
   expect_same_run(run_distributed(g.graph, config), at_one);
 }
@@ -289,7 +280,7 @@ TEST_P(DistEquivalence, RunMatchesReferenceDriver) {
   config.base.seed = 13;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const ScopedThreads scoped(threads);
+    const util::ScopedThreads scoped(threads);
     const auto want = reference::run_distributed(g.graph, config);
     ASSERT_GT(want.result.stats.accepted_moves, 0);
     expect_same_run(run_distributed(g.graph, config), want);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -70,6 +71,12 @@ TEST(Experiment, RowFieldsAreCoherent) {
   EXPECT_LT(row.mdl_norm, 1.01);
   EXPECT_GT(row.mcmc_iterations, 0);
   EXPECT_GT(row.parallel_update_fraction, 0.5);  // H-SBP: 85% parallel
+  EXPECT_EQ(row.threads, omp_get_max_threads());
+
+  // The speedup table's Amdahl projection reads the runs' thread count.
+  config.num_threads = 2;
+  EXPECT_EQ(eval::run_experiment(g, sbp::Variant::Hybrid, config, 1).threads,
+            2);
 }
 
 TEST(Integration, SuiteEntryEndToEndRecovery) {

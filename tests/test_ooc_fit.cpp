@@ -3,6 +3,7 @@
 // quality parity with the in-memory baseline.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -15,6 +16,7 @@
 #include "metrics/metrics.hpp"
 #include "ooc/ooc.hpp"
 #include "sbp/sbp.hpp"
+#include "util/omp_region.hpp"
 
 namespace hsbp::ooc {
 namespace {
@@ -178,6 +180,53 @@ TEST(OocFit, RejectsBadConfig) {
   config.chunk_vertices = 0;
   EXPECT_THROW(fit(graph, config), std::invalid_argument);
   EXPECT_THROW(fit(graph::Graph(), test_config()), std::invalid_argument);
+}
+
+/// A skeleton of one vertex has no edges: stage 1 keeps it in its own
+/// block (the SamBaS fallback) instead of handing sbp::run an edgeless
+/// graph. A full graph with no edges is still rejected up front.
+TEST(OocFit, EdgelessSkeletonFallsBackToIdentity) {
+  std::vector<graph::Edge> edges;
+  for (const auto& edge : community_graph().edges()) {
+    if (edge.first != edge.second) edges.push_back(edge);
+  }
+  const graph::Graph graph = graph::Graph::from_edges(600, edges);
+  OocConfig config = test_config();
+  config.skeleton_fraction = 1e-6;  // one vertex
+
+  const OocResult result = fit(graph, config);
+  EXPECT_EQ(result.skeleton_vertices, 1);
+  EXPECT_EQ(result.skeleton_edges, 0);
+  ASSERT_EQ(result.assignment.size(),
+            static_cast<std::size_t>(graph.num_vertices()));
+  ASSERT_GE(result.num_blocks, 1);
+  for (const std::int32_t block : result.assignment) {
+    EXPECT_GE(block, 0);
+    EXPECT_LT(block, result.num_blocks);
+  }
+  EXPECT_THROW(fit(graph::Graph::from_edges(5, {}), config),
+               std::invalid_argument);
+}
+
+/// `base.num_threads` holds for every stage: a run pinned to one thread
+/// under a 3-thread default is the run made at a default of one.
+TEST(OocFit, NumThreadsCoversEveryStage) {
+  const graph::Graph graph = community_graph();
+  OocConfig config = test_config();
+  config.base.num_threads = 0;
+  OocResult at_one;
+  {
+    const util::ScopedThreads one(1);
+    at_one = fit(graph, config);
+  }
+  const util::ScopedThreads three(3);
+  config.base.num_threads = 1;
+  const OocResult pinned = fit(graph, config);
+  EXPECT_EQ(pinned.assignment, at_one.assignment);
+  EXPECT_EQ(pinned.num_blocks, at_one.num_blocks);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pinned.mdl),
+            std::bit_cast<std::uint64_t>(at_one.mdl));
+  EXPECT_EQ(pinned.finetune_moves, at_one.finetune_moves);
 }
 
 TEST(OocFit, SinglePieceSkipsRefitStage) {

@@ -40,7 +40,6 @@ TEST(Extrapolate, SampledKeepLabelsNeighborsJoinPlurality) {
   EXPECT_EQ(out.assignment, (std::vector<std::int32_t>{0, 0, 1, 0, 0}));
   EXPECT_EQ(out.frontier_assigned, 1);
   EXPECT_EQ(out.isolated_assigned, 1);
-  EXPECT_TRUE(out.model.check_consistency(g));
 }
 
 TEST(Extrapolate, ChainsPropagateThroughUnsampledVertices) {
@@ -53,6 +52,27 @@ TEST(Extrapolate, ChainsPropagateThroughUnsampledVertices) {
   EXPECT_EQ(out.assignment, (std::vector<std::int32_t>{0, 0, 0, 0}));
   EXPECT_EQ(out.frontier_assigned, 3);
   EXPECT_EQ(out.isolated_assigned, 0);
+}
+
+TEST(Extrapolate, ReleaseHookFiresEveryPeriod) {
+  // 0 (sampled) — 1 — … — 9: the BFS dequeues all ten vertices, so a
+  // period of 3 fires after dequeues 3, 6 and 9.
+  std::vector<graph::Edge> path;
+  for (Vertex v = 0; v + 1 < 10; ++v) path.emplace_back(v, v + 1);
+  const Graph g = Graph::from_edges(10, path);
+  SampledGraph sampled;
+  sampled.to_full = {0};
+  sampled.to_sample.assign(10, -1);
+  sampled.to_sample[0] = 0;
+  const std::vector<std::int32_t> labels = {0};
+
+  int releases = 0;
+  const auto hooked =
+      extrapolate(g, sampled, labels, 1, [&releases] { ++releases; }, 3);
+  EXPECT_EQ(releases, 3);
+  EXPECT_EQ(hooked.assignment, extrapolate(g, sampled, labels, 1).assignment);
+  EXPECT_THROW(extrapolate(g, sampled, labels, 1, [] {}, 0),
+               std::invalid_argument);
 }
 
 TEST(Extrapolate, Validation) {

@@ -52,7 +52,7 @@ TEST_P(SamplerSweep, SelectsExactlyTargetDistinctVertices) {
   for (const double fraction : {0.05, 0.3, 0.5, 0.9, 1.0}) {
     const Vertex target = sample_size(g.graph.num_vertices(), fraction);
     util::Rng rng(7);
-    const auto ids = make_sampler(GetParam())->select(g.graph, target, rng);
+    const auto ids = select_vertices(g.graph, GetParam(), target, rng);
     EXPECT_EQ(static_cast<Vertex>(ids.size()), target);
     std::set<Vertex> distinct(ids.begin(), ids.end());
     EXPECT_EQ(distinct.size(), ids.size());

@@ -7,7 +7,6 @@
 /// the same counters. Runs use one thread, where every variant is
 /// deterministic.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <algorithm>
 #include <bit>
@@ -22,6 +21,7 @@
 #include "graph/degree.hpp"
 #include "reference_kernels.hpp"
 #include "sbp/mcmc_phases.hpp"
+#include "util/omp_region.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::sbp {
@@ -79,22 +79,10 @@ std::vector<std::int32_t> scrambled_start(const generator::GeneratedGraph& g) {
   return state;
 }
 
-/// Restores the OpenMP thread count when a test ends, even on failure.
-class OneThread {
- public:
-  OneThread() : previous_(omp_get_max_threads()) { omp_set_num_threads(1); }
-  ~OneThread() { omp_set_num_threads(previous_); }
-  OneThread(const OneThread&) = delete;
-  OneThread& operator=(const OneThread&) = delete;
-
- private:
-  int previous_;
-};
-
 class PhaseEquivalence : public ::testing::TestWithParam<PhaseCase> {};
 
 TEST_P(PhaseEquivalence, PlanReplaysItsReferenceLoop) {
-  const OneThread one_thread;
+  const util::ScopedThreads one_thread(1);
   const PhaseCase& param = GetParam();
   const auto g = make_graph(param.density);
   const auto start = scrambled_start(g);

@@ -5,8 +5,11 @@
 #include "generator/dcsbm.hpp"
 #include "graph/degree.hpp"
 #include "metrics/metrics.hpp"
+#include "ooc/ooc.hpp"
+#include "sample/sample_sbp.hpp"
 #include "sbp/influence.hpp"
 #include "sbp/sbp.hpp"
+#include "util/omp_region.hpp"
 
 namespace hsbp::sbp {
 namespace {
@@ -132,6 +135,30 @@ TEST(SbpRun, DeterministicSingleThreaded) {
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.num_blocks, b.num_blocks);
   EXPECT_DOUBLE_EQ(a.mdl, b.mdl);
+}
+
+/// A driver's `num_threads` holds for its own run only: sbp::run,
+/// sample::run and ooc::fit each hand the caller's OpenMP thread count
+/// back on return.
+TEST(SbpRun, RestoresCallerThreadCount) {
+  const util::ScopedThreads three(3);
+  const auto g = strong_planted(12);
+  SbpConfig config;
+  config.num_threads = 1;
+  (void)run(g.graph, config);
+  EXPECT_EQ(omp_get_max_threads(), 3);
+
+  sample::SampleConfig sampled;
+  sampled.base = config;
+  sampled.finetune_max_iterations = 2;
+  (void)sample::run(g.graph, sampled);
+  EXPECT_EQ(omp_get_max_threads(), 3);
+
+  ooc::OocConfig out_of_core;
+  out_of_core.base = config;
+  out_of_core.finetune_max_iterations = 2;
+  (void)ooc::fit(g.graph, out_of_core);
+  EXPECT_EQ(omp_get_max_threads(), 3);
 }
 
 TEST(SbpRun, HybridFractionZeroBehavesLikeAsync) {

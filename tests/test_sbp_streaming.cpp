@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
 #include "generator/dcsbm.hpp"
 #include "metrics/metrics.hpp"
+#include "sbp/labels.hpp"
 #include "sbp/streaming.hpp"
 
 namespace hsbp::sbp {
@@ -116,11 +118,35 @@ TEST(ExtendAssignment, DisconnectedNewVerticesEachOpenABlock) {
   EXPECT_EQ(num_blocks, 3);
 }
 
+TEST(ExtendAssignment, TieBreaksTowardSmallerLabelAndSkipsSelfLoops) {
+  // Old labels {2, 1, 0}. New vertex 3 draws one vote each for blocks 2
+  // and 1 (its self-loop casts none) and joins the smaller, 1. Vertex 4
+  // has only a self-loop, so it opens block 3. Vertex 5 draws two votes
+  // for block 2 and one for block 0: the count wins over the id.
+  const std::vector<Edge> edges = {{3, 0}, {1, 3}, {3, 3}, {4, 4},
+                                   {5, 0}, {0, 5}, {5, 2}};
+  const Graph g = Graph::from_edges(6, edges);
+  const std::vector<std::int32_t> old_labels = {2, 1, 0};
+  blockmodel::BlockId num_blocks = 3;
+  const auto extended = extend_assignment(g, old_labels, num_blocks);
+  EXPECT_EQ(extended, (std::vector<std::int32_t>{2, 1, 0, 1, 3, 2}));
+  EXPECT_EQ(num_blocks, 4);
+}
+
 TEST(ExtendAssignment, RejectsShrinkingVertexSet) {
   const Graph g = Graph::from_edges(2, {{{0, 1}}});
   const std::vector<std::int32_t> bigger = {0, 0, 1};
   blockmodel::BlockId num_blocks = 2;
   EXPECT_THROW(extend_assignment(g, bigger, num_blocks),
+               std::invalid_argument);
+}
+
+TEST(ExtendAssignment, RejectsLabelOutsideBlocks) {
+  const Graph g = Graph::from_edges(3, {{{0, 1}, {1, 2}}});
+  blockmodel::BlockId num_blocks = 2;
+  EXPECT_THROW(extend_assignment(g, {0, 2}, num_blocks),
+               std::invalid_argument);
+  EXPECT_THROW(extend_assignment(g, {-1, 0}, num_blocks),
                std::invalid_argument);
 }
 
@@ -163,6 +189,19 @@ TEST(RefineAssignment, RejectsBadFactor) {
   blockmodel::BlockId num_blocks = 2;
   EXPECT_THROW(refine_assignment(assignment, num_blocks, 0, 1),
                std::invalid_argument);
+  EXPECT_THROW(refine_assignment(assignment, num_blocks, 1 << 30, 1),
+               std::invalid_argument);  // 2 × 2^30 labels overflow int32
+}
+
+TEST(RefineAssignment, RejectsLabelOutsideBlocks) {
+  blockmodel::BlockId num_blocks = 2;
+  EXPECT_THROW(refine_assignment(std::vector<std::int32_t>{0, 2}, num_blocks,
+                                 3, 1),
+               std::invalid_argument);
+  EXPECT_THROW(refine_assignment(std::vector<std::int32_t>{-1, 1},
+                                 num_blocks, 3, 1),
+               std::invalid_argument);
+  EXPECT_EQ(num_blocks, 2);
 }
 
 TEST(RunWarm, FromGroundTruthStaysNearGroundTruth) {
@@ -202,6 +241,38 @@ TEST(RunWarm, RejectsNonDenseLabels) {
     dense[v] = static_cast<std::int32_t>(v % 4);
   }
   EXPECT_NO_THROW(run_warm(g.graph, config, dense, 4));
+}
+
+void expect_same_fit(const SbpResult& got, const SbpResult& want) {
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.num_blocks, want.num_blocks);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mdl),
+            std::bit_cast<std::uint64_t>(want.mdl));
+}
+
+/// warm_refit is run() when the previous partition has at most two
+/// blocks, and extend → refine → run_warm otherwise.
+TEST(WarmRefit, ColdBelowThreeBlocksWarmOtherwise) {
+  const auto g = planted(27);
+  SbpConfig config;
+  config.seed = 4;
+  config.num_threads = 1;
+  // The previous fit saw the first 200 of 240 vertices.
+  const std::vector<std::int32_t> truth(g.ground_truth.begin(),
+                                        g.ground_truth.begin() + 200);
+
+  std::vector<std::int32_t> halves(truth.size());
+  for (std::size_t v = 0; v < halves.size(); ++v) {
+    halves[v] = static_cast<std::int32_t>(v % 2);
+  }
+  expect_same_fit(warm_refit(g.graph, config, halves, 2, 3, 9),
+                  run(g.graph, config));
+
+  blockmodel::BlockId num_blocks = 5;
+  const auto extended = extend_assignment(g.graph, truth, num_blocks);
+  const auto refined = refine_assignment(extended, num_blocks, 3, 9);
+  expect_same_fit(warm_refit(g.graph, config, truth, 5, 3, 9),
+                  run_warm(g.graph, config, refined, num_blocks));
 }
 
 TEST(RunStreaming, Validation) {

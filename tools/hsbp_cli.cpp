@@ -521,18 +521,8 @@ int cmd_dist(const Args& args) {
   hsbp::dist::DistributedConfig config;
   config.base = base_config(args);
   config.ranks = static_cast<int>(args.get_int("ranks", 4));
-  const std::string strategy = args.get_string("partition", "balanced");
-  if (strategy == "range") {
-    config.strategy = hsbp::dist::PartitionStrategy::Range;
-  } else if (strategy == "roundrobin") {
-    config.strategy = hsbp::dist::PartitionStrategy::RoundRobin;
-  } else if (strategy == "balanced") {
-    config.strategy = hsbp::dist::PartitionStrategy::DegreeBalanced;
-  } else {
-    throw std::invalid_argument(
-        "--partition must be range|roundrobin|balanced, got '" + strategy +
-        "'");
-  }
+  config.strategy =
+      hsbp::dist::parse_strategy(args.get_string("partition", "balanced"));
 
   const auto generated = generated_workload(args);
   const auto out = hsbp::dist::run_distributed(generated.graph, config);
