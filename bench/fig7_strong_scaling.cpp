@@ -7,10 +7,15 @@
 ///
 /// Tracked-benchmark mode: `--json PATH` writes one machine-readable
 /// entry per thread count, which scripts/bench_kernels.sh folds into
-/// BENCH_kernels.json; `--schedule static|degree-sorted` selects the
-/// async-pass loop schedule (DESIGN §13) so the static baseline and the
-/// degree-aware schedule can be compared on the same skewed-degree
-/// graph.
+/// BENCH_kernels.json.
+///
+/// Run it with OMP_WAIT_POLICY unset. Under `OMP_WAIT_POLICY=passive`
+/// (which every ctest test sets) idle threads sleep at each pass
+/// barrier, and the multi-thread rows lose most of their gain. On a
+/// 4-core x86-64 host at `--scale 0.05 --runs 1`, six runs each, the
+/// 4-thread MCMC phase ran 1.01–1.47× (median 1.26×) faster than the
+/// 1-thread row with the policy unset, and 0.81–1.30× (median 1.12×)
+/// under passive.
 #include <omp.h>
 
 #include <algorithm>
@@ -21,7 +26,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sbp/schedule.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,23 +35,13 @@ int main(int argc, char** argv) {
   const int max_threads =
       static_cast<int>(args.get_int("max-threads", std::max(hardware, 4)));
   const std::string json_path = args.get_string("json", "");
-  const std::string schedule_arg = args.get_string("schedule", "static");
-  const auto schedule = hsbp::sbp::parse_schedule(schedule_arg);
-  if (!schedule) {
-    std::fprintf(stderr,
-                 "unknown --schedule '%s' (expected static|degree-sorted)\n",
-                 schedule_arg.c_str());
-    return 2;
-  }
 
   hsbp::eval::print_banner(
       "Fig. 7: strong scaling of H-SBP MCMC runtime on soc-Slashdot0902",
       options.scale, options.runs, std::cout);
-  std::cout << "hardware threads: " << hardware
-            << "  schedule: " << hsbp::sbp::schedule_name(*schedule) << "\n";
+  std::cout << "hardware threads: " << hardware << "\n";
 
-  // Locate the soc-Slashdot0902 surrogate (a skewed-degree graph: the
-  // degree-aware schedules exist precisely for its hub-heavy tail).
+  // Locate the soc-Slashdot0902 surrogate (a skewed-degree graph).
   const auto entries = hsbp::generator::realworld_surrogate_suite(
       options.scale, options.seed);
   const hsbp::generator::SuiteEntry* slashdot = nullptr;
@@ -77,7 +71,6 @@ int main(int argc, char** argv) {
     hsbp::sbp::SbpConfig config = hsbp::bench::base_config(options);
     config.variant = hsbp::sbp::Variant::Hybrid;
     config.num_threads = threads;
-    config.schedule = *schedule;
     const auto outcome =
         hsbp::eval::best_of(generated.graph, config, options.runs);
     if (baseline == 0.0) baseline = outcome.total_mcmc_seconds;
@@ -110,10 +103,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"dataset\": \"soc-Slashdot0902\",\n"
-                 "  \"scale\": %g,\n  \"runs\": %d,\n"
-                 "  \"schedule\": \"%s\",\n  \"entries\": [\n",
-                 options.scale, options.runs,
-                 hsbp::sbp::schedule_name(*schedule));
+                 "  \"scale\": %g,\n  \"runs\": %d,\n  \"entries\": [\n",
+                 options.scale, options.runs);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Entry& e = results[i];
       std::fprintf(f,

@@ -56,10 +56,9 @@ NOISE_PCT="${HSBP_BENCH_NOISE_PCT:-40}"
 OUT="${HSBP_BENCH_OUT:-BENCH_kernels.json}"
 RAW="$(mktemp)"
 RERUN="$(mktemp)"
-FIG7_STATIC="$(mktemp)"
-FIG7_DEGREE="$(mktemp)"
+FIG7_JSON="$(mktemp)"
 OOC_JSON="$(mktemp)"
-trap 'rm -f "$RAW" "$RERUN" "$FIG7_STATIC" "$FIG7_DEGREE" "$OOC_JSON"' EXIT
+trap 'rm -f "$RAW" "$RERUN" "$FIG7_JSON" "$OOC_JSON"' EXIT
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bm_kernels \
   fig7_strong_scaling ext_outofcore >&2
@@ -98,25 +97,15 @@ else
 fi
 
 # Fig. 7 strong scaling (async-pass thread sweep on the skewed-degree
-# soc-Slashdot0902 surrogate), once per schedule so the degree-aware
-# schedule can be compared against the static baseline at every thread
-# count.
+# soc-Slashdot0902 surrogate).
 if [[ "${HSBP_BENCH_SKIP_FIG7:-0}" != "1" ]]; then
-  for sched in static degree-sorted; do
-    case "$sched" in
-      static) fig7_out="$FIG7_STATIC" ;;
-      *) fig7_out="$FIG7_DEGREE" ;;
-    esac
-    "$BUILD_DIR/bench/fig7_strong_scaling" \
-      --scale "${HSBP_FIG7_SCALE:-0.005}" \
-      --runs "${HSBP_FIG7_RUNS:-2}" \
-      --max-threads "${HSBP_FIG7_MAX_THREADS:-8}" \
-      --schedule "$sched" \
-      --json "$fig7_out" >&2
-  done
+  "$BUILD_DIR/bench/fig7_strong_scaling" \
+    --scale "${HSBP_FIG7_SCALE:-0.005}" \
+    --runs "${HSBP_FIG7_RUNS:-2}" \
+    --max-threads "${HSBP_FIG7_MAX_THREADS:-8}" \
+    --json "$FIG7_JSON" >&2
 else
-  : > "$FIG7_STATIC"
-  : > "$FIG7_DEGREE"
+  : > "$FIG7_JSON"
 fi
 
 # Out-of-core fit vs in-memory baseline: peak RSS, stage timings, NMI.
@@ -132,14 +121,13 @@ else
   : > "$OOC_JSON"
 fi
 
-python3 - "$RAW" "$RERUN" "$OUT" "$FIG7_STATIC" "$FIG7_DEGREE" "$OOC_JSON" <<'EOF'
+python3 - "$RAW" "$RERUN" "$OUT" "$FIG7_JSON" "$OOC_JSON" <<'EOF'
 import json
 import subprocess
 import sys
 import os
 
-raw_path, rerun_path, out_path, fig7_static, fig7_degree, ooc_path = \
-    sys.argv[1:7]
+raw_path, rerun_path, out_path, fig7_path, ooc_path = sys.argv[1:6]
 
 # Min-of-N across repetitions per kernel, plus the spread as the noise
 # floor: a "speedup" smaller than the noise floor is not a result.
@@ -199,18 +187,8 @@ for name, ns in after.items():
     kernels[name] = entry
 
 fig7 = fig7_prev  # carry the previous sweep on HSBP_BENCH_SKIP_FIG7=1
-if os.path.getsize(fig7_static) and os.path.getsize(fig7_degree):
-    static = json.load(open(fig7_static))
-    degree = json.load(open(fig7_degree))
-    fig7 = {
-        "dataset": static["dataset"],
-        "scale": static["scale"],
-        "runs": static["runs"],
-        "schedules": {
-            static["schedule"]: static["entries"],
-            degree["schedule"]: degree["entries"],
-        },
-    }
+if os.path.getsize(fig7_path):
+    fig7 = json.load(open(fig7_path))
 
 ooc = ooc_prev  # carry the previous result on HSBP_BENCH_SKIP_OOC=1
 if os.path.getsize(ooc_path):
@@ -241,11 +219,10 @@ for name, entry in kernels.items():
     if entry.get("inconclusive"):
         line += "  [inconclusive]"
     print(line)
-if fig7 is not None and os.path.getsize(fig7_static):
-    for sched, entries in fig7["schedules"].items():
-        row = "  ".join(f"{e['threads']}t={e['mcmc_s']:.3f}s"
-                        for e in entries)
-        print(f"fig7[{sched:>13}]  {row}")
+if os.path.getsize(fig7_path):
+    row = "  ".join(f"{e['threads']}t={e['mcmc_s']:.3f}s"
+                    for e in fig7["entries"])
+    print(f"fig7  {row}")
 if ooc is not None and os.path.getsize(ooc_path):
     print(f"ooc[{ooc['graph']}]  rss {ooc['ooc']['peak_rss_kb']:.0f}/"
           f"{ooc['inmem']['peak_rss_kb']:.0f} KiB "

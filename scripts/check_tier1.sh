@@ -193,11 +193,11 @@ if [[ "${HSBP_BENCH_SMOKE:-0}" == "1" ]]; then
   cmake --build "$BUILD_DIR" -j "$JOBS" --target bm_kernels \
     fig7_strong_scaling
   "$BUILD_DIR/bench/bm_kernels" --benchmark_min_time=0.05
-  # fig7 smoke at 1 and 2 threads, one degree-aware schedule: the
-  # tracked-benchmark path (--json + --schedule) must stay runnable.
+  # fig7 smoke at 1 and 2 threads: the tracked-benchmark path (--json)
+  # must stay runnable.
   FIG7_SMOKE_JSON="$(mktemp)"
   "$BUILD_DIR/bench/fig7_strong_scaling" --scale 0.001 --runs 1 \
-      --max-threads 2 --schedule degree-sorted --json "$FIG7_SMOKE_JSON"
+      --max-threads 2 --json "$FIG7_SMOKE_JSON"
   python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
 assert [e['threads'] for e in d['entries']] == [1, 2], d" "$FIG7_SMOKE_JSON"
   rm -f "$FIG7_SMOKE_JSON"

@@ -31,10 +31,9 @@
 namespace hsbp::dist {
 
 struct DistributedConfig {
-  /// Base SBP knobs (thresholds, β, merge settings, threads), validated
-  /// as sbp::run validates them. The `variant`, `schedule` and hybrid
-  /// and batch fields are ignored: the distributed MCMC phase is A-SBP
-  /// by construction.
+  /// Base SBP knobs (thresholds, β, threads), validated as sbp::run
+  /// validates them. The `variant`, hybrid and batch fields are
+  /// ignored: the distributed MCMC phase is A-SBP by construction.
   sbp::SbpConfig base;
   int ranks = 4;
   PartitionStrategy strategy = PartitionStrategy::DegreeBalanced;

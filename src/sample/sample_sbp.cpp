@@ -55,7 +55,6 @@ sbp::PhaseOutcome finetune(const Graph& graph, Blockmodel& model,
   settings.beta = config.base.beta;
   settings.threshold = kFinetuneThreshold;
   settings.max_iterations = config.finetune_max_iterations;
-  settings.schedule = config.base.schedule;
 
   // An independent deterministic stream: the sampler consumed
   // Rng(seed), the subgraph fit consumed RngPool(seed).

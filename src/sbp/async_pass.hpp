@@ -35,7 +35,6 @@
 
 #include "blockmodel/blockmodel.hpp"
 #include "sbp/mcmc_common.hpp"
-#include "sbp/schedule.hpp"
 #include "util/omp_region.hpp"
 #include "util/rng.hpp"
 
@@ -117,7 +116,6 @@ struct PassWorkspace {
   AtomicSizes sizes;
   std::vector<std::vector<MoveRecord>> logs;
   std::vector<std::int32_t> snapshot;  ///< scratch for the fallback path
-  std::vector<graph::Vertex> order;    ///< DegreeSorted reorder buffer
   /// Per-thread proposal/acceptance tallies, summed serially after the
   /// pass (an OpenMP reduction would merge through libgomp internals
   /// ThreadSanitizer cannot see; explicit slots keep the handoff on the
@@ -176,22 +174,14 @@ inline constexpr double kDefaultRebuildThreshold = 0.25;
 /// blockmodel for proposal weights and ΔMDL; `ws.shared`/`ws.sizes`
 /// carry the evolving memberships, and every accepted move is logged in
 /// the executing thread's `ws.logs` entry (cleared here at pass start).
-/// `schedule` picks the work distribution (see schedule.hpp): the
-/// default Static gives each thread a contiguous range; DegreeSorted
-/// deals the heavy vertices round-robin for load balance on skewed
-/// degree distributions (the paper's §5.5 remark). The evolving-
-/// membership semantics are identical in both — only which thread
-/// evaluates which vertex (and hence which staleness interleavings
-/// occur) changes.
-inline AsyncPassCounters async_pass(
-    const graph::GraphView& graph, const blockmodel::Blockmodel& b,
-    PassWorkspace& ws, std::span<const graph::Vertex> vertices, double beta,
-    util::RngPool& rngs, PassSchedule schedule = PassSchedule::Static) {
+/// Each thread takes one contiguous range of `vertices`
+/// (`schedule(static)`, DESIGN §13).
+inline AsyncPassCounters async_pass(const graph::GraphView& graph,
+                                    const blockmodel::Blockmodel& b,
+                                    PassWorkspace& ws,
+                                    std::span<const graph::Vertex> vertices,
+                                    double beta, util::RngPool& rngs) {
   AsyncPassCounters counters;
-  if (schedule == PassSchedule::DegreeSorted) {
-    degree_sorted_order(graph, vertices, ws.order);
-    vertices = ws.order;
-  }
   const auto count = static_cast<std::int64_t>(vertices.size());
 
   const auto threads = static_cast<std::size_t>(omp_get_max_threads());
@@ -256,23 +246,9 @@ inline AsyncPassCounters async_pass(
   util::omp_region([&] {
     std::int64_t proposals_local = 0;
     std::int64_t accepted_local = 0;
-    // Every thread takes the same branch (schedule is uniform across
-    // the team), so the team encounters one worksharing construct.
-    switch (schedule) {
-      case PassSchedule::DegreeSorted:
-        // The list is degree-descending; chunk size 1 deals it
-        // round-robin so each thread gets an even heavy/light mix.
-#pragma omp for schedule(static, 1) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
-      case PassSchedule::Static:
 #pragma omp for schedule(static) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
+    for (std::int64_t i = 0; i < count; ++i) {
+      body(i, proposals_local, accepted_local);
     }
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ws.thread_proposals[tid] = proposals_local;

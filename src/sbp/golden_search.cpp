@@ -11,19 +11,19 @@ using blockmodel::BlockId;
 namespace {
 
 constexpr double kGoldenSection = 0.381966;  // 2 − φ
+/// Fraction of blocks a descent probe removes (the paper halves them).
+constexpr double kReductionRate = 0.5;
 
-BlockId shrink(BlockId blocks, double rate) {
+BlockId shrink(BlockId blocks) {
   const auto removed = std::max<BlockId>(
       1, static_cast<BlockId>(
-             std::llround(static_cast<double>(blocks) * rate)));
+             std::llround(static_cast<double>(blocks) * kReductionRate)));
   return std::max<BlockId>(1, blocks - removed);
 }
 
 }  // namespace
 
-GoldenSearch::GoldenSearch(Snapshot initial, double reduction_rate)
-    : reduction_rate_(reduction_rate), upper_(std::move(initial)) {
-  assert(reduction_rate_ > 0.0 && reduction_rate_ < 1.0);
+GoldenSearch::GoldenSearch(Snapshot initial) : upper_(std::move(initial)) {
   if (upper_.num_blocks <= 1) {
     mid_ = upper_;
     have_mid_ = true;
@@ -31,16 +31,13 @@ GoldenSearch::GoldenSearch(Snapshot initial, double reduction_rate)
   }
 }
 
-GoldenSearch::GoldenSearch(State state, double reduction_rate)
-    : reduction_rate_(reduction_rate),
-      upper_(std::move(state.upper)),
+GoldenSearch::GoldenSearch(State state)
+    : upper_(std::move(state.upper)),
       mid_(std::move(state.mid)),
       lower_(std::move(state.lower)),
       have_mid_(state.have_mid),
       have_lower_(state.have_lower),
-      done_(state.done) {
-  assert(reduction_rate_ > 0.0 && reduction_rate_ < 1.0);
-}
+      done_(state.done) {}
 
 GoldenSearch::State GoldenSearch::export_state() const {
   return {upper_, mid_, lower_, have_mid_, have_lower_, done_};
@@ -49,10 +46,10 @@ GoldenSearch::State GoldenSearch::export_state() const {
 GoldenSearch::Probe GoldenSearch::next_probe() const {
   assert(!done_);
   if (!have_mid_) {
-    return {&upper_, shrink(upper_.num_blocks, reduction_rate_)};
+    return {&upper_, shrink(upper_.num_blocks)};
   }
   if (!have_lower_) {
-    return {&mid_, shrink(mid_.num_blocks, reduction_rate_)};
+    return {&mid_, shrink(mid_.num_blocks)};
   }
   const BlockId gap_hi = upper_.num_blocks - mid_.num_blocks;
   const BlockId gap_lo = mid_.num_blocks - lower_.num_blocks;

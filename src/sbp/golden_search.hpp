@@ -6,8 +6,8 @@
 /// produces a probe by warm-starting from a snapshot with MORE blocks
 /// and merging down. Two regimes:
 ///
-///   Descent (no bracket yet): each probe removes `reduction_rate` of
-///   the current best's blocks (paper: communities halved). The descent
+///   Descent (no bracket yet): each probe removes half of the current
+///   best's blocks (the paper halves the communities). The descent
 ///   ends when a probe's MDL is worse than the best seen — that probe
 ///   becomes the lower end of the bracket.
 ///
@@ -48,11 +48,10 @@ class GoldenSearch {
 
   /// \param initial an evaluated starting partition (normally the
   /// identity partition with its MDL); it seeds the upper bracket end.
-  /// \param reduction_rate fraction of blocks removed per descent step.
-  GoldenSearch(Snapshot initial, double reduction_rate);
+  explicit GoldenSearch(Snapshot initial);
 
   /// Resumes a search from an exported state (checkpoint restore).
-  GoldenSearch(State state, double reduction_rate);
+  explicit GoldenSearch(State state);
 
   /// Exports the full search state for checkpointing.
   State export_state() const;
@@ -83,7 +82,6 @@ class GoldenSearch {
  private:
   void update_done();
 
-  double reduction_rate_;
   Snapshot upper_;          // largest B end (starts as the initial partition)
   Snapshot mid_;            // best MDL so far
   Snapshot lower_;          // smallest B end (valid once have_lower_)

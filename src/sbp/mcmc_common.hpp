@@ -12,7 +12,6 @@
 #include "blockmodel/vertex_move_delta.hpp"
 #include "sbp/hastings.hpp"
 #include "sbp/proposal.hpp"
-#include "sbp/schedule.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::sbp {
@@ -23,8 +22,6 @@ struct McmcSettings {
   double beta = 3.0;
   double threshold = 1e-4;   ///< t in "ΔMDL < t × MDL"
   int max_iterations = 100;  ///< x in Algs. 2–4
-  /// Work distribution of the asynchronous passes (schedule.hpp).
-  PassSchedule schedule = PassSchedule::Static;
 };
 
 /// Outcome of evaluating one vertex.

@@ -102,8 +102,8 @@ PhaseOutcome run_phase(const GraphView& graph, Blockmodel& b,
       const auto slice =
           plan.async.subspan(begin, count * (k + 1) / slices - begin);
       if (slice.empty()) continue;
-      const auto counters = detail::async_pass(
-          graph, b, ws, slice, settings.beta, rngs, settings.schedule);
+      const auto counters =
+          detail::async_pass(graph, b, ws, slice, settings.beta, rngs);
       stats.proposals += counters.proposals;
       stats.accepted += counters.accepted;
       outcome.parallel_updates += static_cast<std::int64_t>(slice.size());

@@ -37,22 +37,17 @@ const char* variant_name(Variant variant) noexcept {
 
 namespace {
 
+/// Merge proposals evaluated per block (Alg. 1's x).
+constexpr int kMergeProposalsPerBlock = 10;
+/// Maximum MCMC passes per phase (Algs. 2–4's x).
+constexpr int kMaxMcmcIterations = 100;
+
 void validate(const Graph& graph, const SbpConfig& config) {
   if (graph.num_vertices() <= 0) {
     throw std::invalid_argument("sbp::run: empty graph");
   }
   if (graph.num_edges() <= 0) {
     throw std::invalid_argument("sbp::run: graph has no edges");
-  }
-  if (config.block_reduction_rate <= 0.0 ||
-      config.block_reduction_rate >= 1.0) {
-    throw std::invalid_argument("sbp::run: block_reduction_rate in (0,1)");
-  }
-  if (config.merge_proposals_per_block < 1) {
-    throw std::invalid_argument("sbp::run: merge_proposals_per_block >= 1");
-  }
-  if (config.max_mcmc_iterations < 1) {
-    throw std::invalid_argument("sbp::run: max_mcmc_iterations >= 1");
   }
   if (config.hybrid_fraction < 0.0 || config.hybrid_fraction > 1.0) {
     throw std::invalid_argument("sbp::run: hybrid_fraction in [0,1]");
@@ -144,15 +139,14 @@ SbpResult run_impl(const Graph& graph, const SbpConfig& config,
     merge_watch.start();
     MergeOutcome merged =
         block_merge_phase(graph, b, probe.target_blocks,
-                          config.merge_proposals_per_block, rngs);
+                          kMergeProposalsPerBlock, rngs);
     b = Blockmodel::from_assignment(graph, merged.assignment,
                                     merged.num_blocks);
     merge_watch.stop();
 
     McmcSettings settings;
     settings.beta = config.beta;
-    settings.max_iterations = config.max_mcmc_iterations;
-    settings.schedule = config.schedule;
+    settings.max_iterations = kMaxMcmcIterations;
     settings.threshold = search.bracket_established()
                              ? config.mcmc_threshold_post_bracket
                              : config.mcmc_threshold_pre_bracket;
@@ -274,13 +268,12 @@ SbpResult run(const Graph& graph, const SbpConfig& config,
           std::to_string(config.seed) +
           " — resuming a different chain would produce garbage");
     }
-    GoldenSearch search(std::move(loaded.search),
-                        config.block_reduction_rate);
+    GoldenSearch search(std::move(loaded.search));
     return run_impl(graph, config, variant_phase(graph, config), 1,
                     std::move(search), loaded.stats, loaded.rng_streams,
                     checkpoint);
   }
-  GoldenSearch search(cold_initial(graph), config.block_reduction_rate);
+  GoldenSearch search(cold_initial(graph));
   return run_impl(graph, config, variant_phase(graph, config), 1,
                   std::move(search), SbpStats{}, {}, checkpoint);
 }
@@ -288,7 +281,7 @@ SbpResult run(const Graph& graph, const SbpConfig& config,
 SbpResult run(const Graph& graph, const SbpConfig& config,
               const McmcPhase& phase, std::size_t min_streams) {
   validate(graph, config);
-  GoldenSearch search(cold_initial(graph), config.block_reduction_rate);
+  GoldenSearch search(cold_initial(graph));
   return run_impl(graph, config, phase, min_streams, std::move(search),
                   SbpStats{}, {}, ckpt::CheckpointConfig{});
 }
@@ -326,7 +319,7 @@ SbpResult run_warm(const Graph& graph, const SbpConfig& config,
   Snapshot initial{warm.copy_assignment(), warm.num_blocks(),
                    blockmodel::mdl(warm, graph.num_vertices(),
                                    graph.num_edges())};
-  GoldenSearch search(std::move(initial), config.block_reduction_rate);
+  GoldenSearch search(std::move(initial));
   return run_impl(graph, config, variant_phase(graph, config), 1,
                   std::move(search), SbpStats{}, {},
                   ckpt::CheckpointConfig{});

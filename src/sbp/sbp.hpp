@@ -33,7 +33,6 @@
 #include "graph/graph.hpp"
 #include "graph/view.hpp"
 #include "sbp/mcmc_phases.hpp"
-#include "sbp/schedule.hpp"
 #include "sbp/vertex_selection.hpp"
 
 namespace hsbp::sbp {
@@ -54,14 +53,6 @@ const char* variant_name(Variant variant) noexcept;
 struct SbpConfig {
   Variant variant = Variant::Metropolis;
 
-  /// Fraction of blocks removed per block-merge phase before the golden
-  /// bracket is established (paper: communities halved → 0.5).
-  double block_reduction_rate = 0.5;
-  /// Merge proposals evaluated per block (Alg. 1's x).
-  int merge_proposals_per_block = 10;
-
-  /// Maximum MCMC passes per phase (Algs. 2–4's x).
-  int max_mcmc_iterations = 100;
   /// Convergence thresholds t: the pass loop stops when the summed
   /// |ΔMDL| of the last 3 passes < t·|MDL|. The looser threshold applies
   /// before the golden-section bracket is established, the tighter one
@@ -84,14 +75,6 @@ struct SbpConfig {
   /// one parallel sweep followed by a blockmodel rebuild, so proposals
   /// are at most 1/batch_count of a pass stale.
   int batch_count = 4;
-
-  /// Work distribution of the asynchronous passes (schedule.hpp).
-  /// DegreeSorted deals the hubs round-robin across threads for load
-  /// balance on skewed degree distributions (the paper's §5.5
-  /// observation). Neither schedule makes a multi-threaded asynchronous
-  /// run reproducible: it fixes which thread draws for which vertex,
-  /// but the in-pass membership reads race by design.
-  PassSchedule schedule = PassSchedule::Static;
 
   std::uint64_t seed = 0;
 

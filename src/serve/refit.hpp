@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -67,8 +68,14 @@ void persist_snapshot(const std::string& dir, const std::string& name,
 
 class RefitScheduler {
  public:
+  /// \throws std::invalid_argument if config.refine_factor < 1 (every
+  /// refit would throw and drop its batch).
   RefitScheduler(Registry& registry, RefitConfig config)
-      : registry_(registry), config_(std::move(config)) {}
+      : registry_(registry), config_(std::move(config)) {
+    if (config_.refine_factor < 1) {
+      throw std::invalid_argument("serve: refine_factor >= 1");
+    }
+  }
   ~RefitScheduler() { stop_and_join(); }
 
   RefitScheduler(const RefitScheduler&) = delete;

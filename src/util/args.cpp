@@ -39,6 +39,14 @@ bool Args::has(const std::string& name) const noexcept {
   return named_.contains(name);
 }
 
+std::vector<std::string> Args::names() const {
+  std::vector<std::string> out;
+  out.reserve(named_.size());
+  for (const auto& entry : named_) out.push_back(entry.first);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::optional<std::string> Args::raw(const std::string& name) const {
   if (const auto it = named_.find(name); it != named_.end()) return it->second;
   return std::nullopt;

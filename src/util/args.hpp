@@ -31,6 +31,9 @@ class Args {
     return positionals_;
   }
 
+  /// Names of every `--name` given, sorted.
+  std::vector<std::string> names() const;
+
   const std::string& program() const noexcept { return program_; }
 
  private:

@@ -479,9 +479,8 @@ inline sbp::PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
   ws.reset(b);
 
   for (int pass = 0; pass < settings.max_iterations; ++pass) {
-    const auto counters =
-        sbp::detail::async_pass(graph, b, ws, vertices, settings.beta, rngs,
-                                settings.schedule);
+    const auto counters = sbp::detail::async_pass(graph, b, ws, vertices,
+                                                  settings.beta, rngs);
     stats.proposals += counters.proposals;
     stats.accepted += counters.accepted;
     outcome.parallel_updates += graph.num_vertices();
@@ -534,9 +533,8 @@ inline sbp::PhaseOutcome hybrid_phase(const graph::GraphView& graph,
     }
     outcome.serial_updates += static_cast<std::int64_t>(split.high.size());
 
-    const auto counters =
-        sbp::detail::async_pass(graph, b, ws, split.low, settings.beta, rngs,
-                                settings.schedule);
+    const auto counters = sbp::detail::async_pass(graph, b, ws, split.low,
+                                                  settings.beta, rngs);
     stats.proposals += counters.proposals;
     stats.accepted += counters.accepted;
     outcome.parallel_updates += static_cast<std::int64_t>(split.low.size());
@@ -586,8 +584,7 @@ inline sbp::PhaseOutcome batched_gibbs_phase(
       const std::span<const graph::Vertex> slice(vertices.data() + begin,
                                                  end - begin);
       const auto counters =
-          sbp::detail::async_pass(graph, b, ws, slice, settings.beta, rngs,
-                                  settings.schedule);
+          sbp::detail::async_pass(graph, b, ws, slice, settings.beta, rngs);
       stats.proposals += counters.proposals;
       stats.accepted += counters.accepted;
       outcome.parallel_updates += static_cast<std::int64_t>(slice.size());
@@ -754,7 +751,7 @@ inline dist::DistributedResult run_distributed(
   sbp::Snapshot initial{identity.copy_assignment(), identity.num_blocks(),
                         blockmodel::mdl(identity, graph.num_vertices(),
                                         graph.num_edges())};
-  sbp::GoldenSearch search(std::move(initial), base.block_reduction_rate);
+  sbp::GoldenSearch search(std::move(initial));
 
   while (!search.done() &&
          stats.outer_iterations < base.max_outer_iterations) {
@@ -767,14 +764,14 @@ inline dist::DistributedResult run_distributed(
         static_cast<std::int64_t>(graph.num_vertices()) * dist::kLabelBytes *
             2,
         config.ranks);
-    auto merged = sbp::block_merge_phase(
-        graph, b, probe.target_blocks, base.merge_proposals_per_block, rngs);
+    auto merged = sbp::block_merge_phase(graph, b, probe.target_blocks,
+                                         /*proposals_per_block=*/10, rngs);
     b = Blockmodel::from_assignment(graph, merged.assignment,
                                     merged.num_blocks);
 
     sbp::McmcSettings settings;
     settings.beta = base.beta;
-    settings.max_iterations = base.max_mcmc_iterations;
+    settings.max_iterations = 100;
     settings.threshold = search.bracket_established()
                              ? base.mcmc_threshold_post_bracket
                              : base.mcmc_threshold_pre_bracket;

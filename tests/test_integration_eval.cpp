@@ -105,8 +105,7 @@ TEST_P(GoldenFuzz, ConvergesNearMinimumOfNoisyConvexProfile) {
     return 1000.0 + curvature * d * d + wobble;
   };
 
-  sbp::GoldenSearch search(
-      sbp::Snapshot{{}, 256, profile(256)}, 0.5);
+  sbp::GoldenSearch search(sbp::Snapshot{{}, 256, profile(256)});
   int steps = 0;
   while (!search.done() && steps < 80) {
     const auto probe = search.next_probe();

@@ -286,49 +286,10 @@ TEST(AsyncPass, SyncMoveKeepsWorkspaceInvariant) {
   }
 }
 
-TEST(Schedule, NamesRoundTrip) {
-  for (const PassSchedule s :
-       {PassSchedule::Static, PassSchedule::DegreeSorted}) {
-    const auto parsed = parse_schedule(schedule_name(s));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, s);
-  }
-  EXPECT_EQ(parse_schedule("degree_sorted"), PassSchedule::DegreeSorted);
-  EXPECT_FALSE(parse_schedule("auto").has_value());
-}
-
-TEST(Schedule, DegreeSortedOrderIsDescendingAndStable) {
-  generator::DcsbmParams p;
-  p.num_vertices = 120;
-  p.num_communities = 4;
-  p.num_edges = 900;
-  p.seed = 41;
-  const auto g = generator::generate_dcsbm(p);
-  std::vector<Vertex> all(120);
-  std::iota(all.begin(), all.end(), 0);
-
-  std::vector<Vertex> order;
-  degree_sorted_order(g.graph, all, order);
-  ASSERT_EQ(order.size(), all.size());
-  std::vector<Vertex> sorted_copy = order;
-  std::sort(sorted_copy.begin(), sorted_copy.end());
-  EXPECT_EQ(sorted_copy, all);  // a permutation
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const auto prev = g.graph.degree(order[i - 1]);
-    const auto cur = g.graph.degree(order[i]);
-    EXPECT_GE(prev, cur);
-    // Stability: equal degrees keep their input (ascending-id) order.
-    if (prev == cur) EXPECT_LT(order[i - 1], order[i]);
-  }
-}
-
-/// One pass + apply under every schedule: the work distribution must
-/// not affect any workspace or blockmodel invariant. Running this
-/// suite under TSan (ctest -L async in check_tier1.sh) exercises the
-/// round-robin interleavings the static schedule never produces.
-class AsyncPassSchedule : public ::testing::TestWithParam<PassSchedule> {};
-
-TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
+/// One pass + apply on a multi-thread team: the static split must not
+/// break any workspace or blockmodel invariant. Running this under TSan
+/// (ctest -L async in check_tier1.sh) exercises the racing reads.
+TEST(AsyncPass, PassAndApplyKeepInvariants) {
   generator::DcsbmParams p;
   p.num_vertices = 300;
   p.num_communities = 5;
@@ -342,8 +303,7 @@ TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
   std::vector<Vertex> all(300);
   std::iota(all.begin(), all.end(), 0);
   util::RngPool rngs(11, 4);
-  const auto counters =
-      async_pass(g.graph, b, ws, all, 3.0, rngs, GetParam());
+  const auto counters = async_pass(g.graph, b, ws, all, 3.0, rngs);
   EXPECT_EQ(counters.proposals, 300);
   EXPECT_LE(counters.accepted, counters.proposals);
 
@@ -364,48 +324,6 @@ TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
   finish_pass(g.graph, b, ws);
   EXPECT_EQ(b.assignment(), result);
 }
-
-TEST_P(AsyncPassSchedule, DeterministicForSingleThreadTeam) {
-  // Static and DegreeSorted fix the vertex→thread→RNG mapping at a
-  // given thread count; with a single-thread team each schedule is a
-  // fixed order with no racing reads, so both must replay.
-  generator::DcsbmParams p;
-  p.num_vertices = 150;
-  p.num_communities = 4;
-  p.num_edges = 1000;
-  p.seed = 43;
-  const auto g = generator::generate_dcsbm(p);
-  const auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, 4);
-  std::vector<Vertex> all(150);
-  std::iota(all.begin(), all.end(), 0);
-
-  const int prev_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const auto run_once = [&]() {
-    PassWorkspace ws;
-    ws.reset(b);
-    util::RngPool rngs(9, 4);
-    async_pass(g.graph, b, ws, all, 3.0, rngs, GetParam());
-    return snapshot_assignment(ws.shared);
-  };
-  const auto first = run_once();
-  const auto second = run_once();
-  omp_set_num_threads(prev_threads);
-  EXPECT_EQ(first, second);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchedules, AsyncPassSchedule,
-    ::testing::Values(PassSchedule::Static, PassSchedule::DegreeSorted),
-    [](const ::testing::TestParamInfo<PassSchedule>& info) {
-      switch (info.param) {
-        case PassSchedule::Static:
-          return "Static";
-        case PassSchedule::DegreeSorted:
-          return "DegreeSorted";
-      }
-      return "Unknown";
-    });
 
 }  // namespace
 }  // namespace hsbp::sbp::detail

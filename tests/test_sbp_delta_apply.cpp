@@ -208,7 +208,14 @@ INSTANTIATE_TEST_SUITE_P(Densities, DeltaApplyBitIdentity,
                            return "edges" + std::to_string(info.param);
                          });
 
-TEST(AdaptiveFallback, ThresholdCrossingFlipsPathNotState) {
+/// Crossing the rebuild threshold flips finish_pass between its two
+/// paths, and both land on the same assignment, cell values, degrees,
+/// sizes and MDL. They do not land on the same slice entry order: a
+/// rebuild lays each slice out in build order, the delta path leaves
+/// swap-remove/append order, and proposals walk slices in entry order.
+/// So the threshold can change a chain's later draws (DESIGN §11); this
+/// test does not compare entry order.
+TEST(AdaptiveFallback, ThresholdCrossingFlipsPathKeepsCountsAndMdl) {
   const auto g = make_graph(1800, 104);
   auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
   std::vector<Vertex> all(static_cast<std::size_t>(kVertices));
@@ -229,7 +236,7 @@ TEST(AdaptiveFallback, ThresholdCrossingFlipsPathNotState) {
                       (2.0 * static_cast<double>(g.graph.num_edges()));
 
   // Threshold just above the moved fraction → delta path; just below →
-  // rebuild path. Either way the state is the same reference, exactly.
+  // rebuild path. Either way the counts and MDL equal the reference's.
   Blockmodel via_delta = b;
   Blockmodel via_rebuild = b;
   const auto above = finish_pass(g.graph, via_delta, ws, frac * 1.01);

@@ -242,7 +242,7 @@ TEST(GoldenSearch, FindsMinimumOfConvexProfile) {
     const double d = static_cast<double>(b) - 13.0;
     return 100.0 + d * d;
   };
-  GoldenSearch search(snap(100, profile(100)), 0.5);
+  GoldenSearch search(snap(100, profile(100)));
   int steps = 0;
   while (!search.done() && steps < 60) {
     const auto probe = search.next_probe();
@@ -258,7 +258,7 @@ TEST(GoldenSearch, FindsMinimumOfConvexProfile) {
 TEST(GoldenSearch, MonotoneProfileDescendsToOne) {
   // MDL keeps improving as blocks decrease: optimum is B = 1.
   const auto profile = [](BlockId b) { return static_cast<double>(b); };
-  GoldenSearch search(snap(64, profile(64)), 0.5);
+  GoldenSearch search(snap(64, profile(64)));
   int steps = 0;
   while (!search.done() && steps < 60) {
     const auto probe = search.next_probe();
@@ -270,7 +270,7 @@ TEST(GoldenSearch, MonotoneProfileDescendsToOne) {
 }
 
 TEST(GoldenSearch, SingleBlockStartIsImmediatelyDone) {
-  GoldenSearch search(snap(1, 5.0), 0.5);
+  GoldenSearch search(snap(1, 5.0));
   EXPECT_TRUE(search.done());
   EXPECT_EQ(search.best().num_blocks, 1);
 }
@@ -280,7 +280,7 @@ TEST(GoldenSearch, BracketEstablishedAfterWorsening) {
     const double d = static_cast<double>(b) - 20.0;
     return d * d;
   };
-  GoldenSearch search(snap(80, profile(80)), 0.5);
+  GoldenSearch search(snap(80, profile(80)));
   EXPECT_FALSE(search.bracket_established());
   // 80 → 40 → 20 → 10: the probe at 10 is worse than 20 → bracket.
   while (!search.bracket_established() && !search.done()) {
@@ -293,7 +293,7 @@ TEST(GoldenSearch, BracketEstablishedAfterWorsening) {
 TEST(GoldenSearch, StalledMergeStillTerminates) {
   // record() snapshots that ignore the requested target and always
   // return the mid block count; the search must still finish.
-  GoldenSearch search(snap(32, 32.0), 0.5);
+  GoldenSearch search(snap(32, 32.0));
   int steps = 0;
   while (!search.done() && steps < 100) {
     const auto probe = search.next_probe();

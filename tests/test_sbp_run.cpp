@@ -44,18 +44,6 @@ TEST(SbpRun, RejectsBadConfig) {
   const std::vector<Edge> edges = {{0, 1}, {1, 0}};
   const Graph g = Graph::from_edges(2, edges);
   SbpConfig config;
-  config.block_reduction_rate = 0.0;
-  EXPECT_THROW(run(g, config), std::invalid_argument);
-  config = SbpConfig{};
-  config.block_reduction_rate = 1.0;
-  EXPECT_THROW(run(g, config), std::invalid_argument);
-  config = SbpConfig{};
-  config.merge_proposals_per_block = 0;
-  EXPECT_THROW(run(g, config), std::invalid_argument);
-  config = SbpConfig{};
-  config.max_mcmc_iterations = 0;
-  EXPECT_THROW(run(g, config), std::invalid_argument);
-  config = SbpConfig{};
   config.hybrid_fraction = 1.5;
   EXPECT_THROW(run(g, config), std::invalid_argument);
   config = SbpConfig{};

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +293,16 @@ TEST(ServeServer, RejectsEmptyGraphsAndLateRegistration) {
   EXPECT_THROW(server.add_graph("late", tiny_graph()),
                std::invalid_argument);
   server.stop();
+}
+
+/// A refine factor below 1 would make every refit throw and drop its
+/// batch after the INGEST was acknowledged: refuse it up front.
+TEST(ServeServer, RejectsRefineFactorBelowOne) {
+  ServeOptions options;
+  options.tcp_port = 0;
+  options.refit.base = fast_config();
+  options.refit.refine_factor = 0;
+  EXPECT_THROW(Server server(options), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/args.hpp"
@@ -52,6 +53,15 @@ TEST(Args, DefaultsWhenAbsent) {
   EXPECT_DOUBLE_EQ(args.get_double("x", 2.5), 2.5);
   EXPECT_EQ(args.get_string("s", "fallback"), "fallback");
   EXPECT_TRUE(args.get_bool("b", true));
+}
+
+TEST(Args, NamesListsEveryFlagOnceSorted) {
+  const Args args =
+      make_args({"in.mtx", "--seed", "3", "--algorithm=hsbp", "--json",
+                 "--seed", "4"});
+  EXPECT_EQ(args.names(),
+            (std::vector<std::string>{"algorithm", "json", "seed"}));
+  EXPECT_TRUE(make_args({"in.mtx"}).names().empty());
 }
 
 TEST(Args, PositionalsCollected) {

@@ -35,6 +35,10 @@
 ///                  [--retries N] [--retry-backoff-ms MS] <verb> [args...]
 ///   hsbp version
 ///
+/// Every command that fits also takes --seed S, --threads T,
+/// --fraction F (H-SBP's serial share) and --batches K (B-SBP). A flag
+/// the command does not take is a usage error (exit 64).
+///
 /// Checkpointing (`detect`, `sample`): `--checkpoint FILE` snapshots
 /// the run to FILE (atomically) every `--checkpoint-every N` outer
 /// phases and on SIGINT/SIGTERM, which finish the in-flight phase,
@@ -65,9 +69,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "ckpt/config.hpp"
 #include "ckpt/fault_injector.hpp"
@@ -117,6 +124,35 @@ constexpr int kExitInterrupted = 75;
   std::exit(code);
 }
 
+// The flags each helper below reads; a command lists the groups it
+// calls plus its own flags (reject_unknown_flags).
+constexpr std::string_view kConfigFlags[] = {"seed", "threads", "fraction",
+                                             "batches"};  // base_config
+constexpr std::string_view kGeneratorFlags[] = {
+    "vertices", "communities", "edges", "ratio", "seed"};  // generated_workload
+constexpr std::string_view kCheckpointFlags[] = {
+    "checkpoint", "checkpoint-every", "resume"};  // checkpoint_config
+
+/// Usage error (exit 64) naming every `--flag` the command does not
+/// read, so a typo fails before any work instead of running on a
+/// default. `--help` is always accepted.
+void reject_unknown_flags(
+    const Args& args,
+    std::initializer_list<std::span<const std::string_view>> known) {
+  std::string unknown;
+  for (const std::string& name : args.names()) {
+    bool found = name == "help";
+    for (const auto group : known) {
+      for (const std::string_view flag : group) found = found || flag == name;
+    }
+    if (!found) unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument("hsbp " + args.program() +
+                                " does not take " + unknown);
+  }
+}
+
 hsbp::sbp::Variant parse_variant(const std::string& name) {
   if (name == "sbp") return hsbp::sbp::Variant::Metropolis;
   if (name == "asbp") return hsbp::sbp::Variant::AsyncGibbs;
@@ -155,14 +191,6 @@ hsbp::sbp::SbpConfig base_config(const Args& args) {
   config.num_threads = static_cast<int>(args.get_int("threads", 0));
   config.hybrid_fraction = args.get_double("fraction", 0.15);
   config.batch_count = static_cast<int>(args.get_int("batches", 4));
-  const std::string schedule = args.get_string("schedule", "static");
-  const auto parsed = hsbp::sbp::parse_schedule(schedule);
-  if (!parsed) {
-    throw std::invalid_argument(
-        "--schedule must be static|degree-sorted, got '" +
-        schedule + "'");
-  }
-  config.schedule = *parsed;
   return config;
 }
 
@@ -193,6 +221,9 @@ int report_interrupted(const std::string& save_path) {
 }
 
 int cmd_generate(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"suite", "scale", "seed",
+                                                "outdir", "only"};
+  reject_unknown_flags(args, {kFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp generate --suite synthetic|realworld|both --scale F "
@@ -236,11 +267,14 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_detect(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"algorithm", "weighted",
+                                                "runs", "out"};
+  reject_unknown_flags(args, {kFlags, kConfigFlags, kCheckpointFlags});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp detect <graph-file> [--algorithm sbp|asbp|hsbp|bsbp] "
         "[--weighted] [--runs K] [--seed S] [--threads T] [--out FILE]\n"
-        "            [--schedule static|degree-sorted]\n"
+        "            [--fraction F] [--batches K]\n"
         "            [--checkpoint FILE] [--checkpoint-every N] "
         "[--resume FILE]\n");
     return args.has("help") ? 0 : kExitUsage;
@@ -289,6 +323,8 @@ int cmd_detect(const Args& args) {
 }
 
 int cmd_compare(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"weighted", "runs", "csv"};
+  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp compare [<graph-file>] [--runs K] [--vertices N] "
@@ -321,6 +357,11 @@ int cmd_compare(const Args& args) {
 }
 
 int cmd_sample(const Args& args) {
+  static constexpr std::string_view kFlags[] = {
+      "weighted", "suite",       "scale",          "only",     "algorithm",
+      "sampler",  "sample-frac", "finetune-iters", "baseline", "out"};
+  reject_unknown_flags(
+      args, {kFlags, kGeneratorFlags, kConfigFlags, kCheckpointFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp sample [<graph-file>] [--sample-frac F] "
@@ -447,6 +488,9 @@ int cmd_sample(const Args& args) {
 }
 
 int cmd_stream(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"parts", "order",
+                                                "algorithm"};
+  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp stream [--parts K] [--order edge|snowball] [generator "
@@ -456,6 +500,10 @@ int cmd_stream(const Args& args) {
   const auto generated = generated_workload(args);
   const int parts = static_cast<int>(args.get_int("parts", 4));
   const std::string order_name = args.get_string("order", "edge");
+  if (order_name != "edge" && order_name != "snowball") {
+    throw std::invalid_argument("--order must be edge|snowball, got '" +
+                                order_name + "'");
+  }
   const auto order = order_name == "snowball"
                          ? hsbp::generator::StreamingOrder::Snowball
                          : hsbp::generator::StreamingOrder::EdgeSampling;
@@ -487,6 +535,7 @@ int cmd_stream(const Args& args) {
 }
 
 int cmd_score(const Args& args) {
+  reject_unknown_flags(args, {});
   if (args.has("help") || args.positionals().size() != 2) {
     std::printf(
         "hsbp score <truth.tsv> <predicted.tsv> — NMI/ARI/pairwise-F1 "
@@ -512,6 +561,8 @@ int cmd_score(const Args& args) {
 }
 
 int cmd_dist(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"ranks", "partition"};
+  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp dist [--ranks R] [--partition range|roundrobin|balanced] "
@@ -538,6 +589,11 @@ int cmd_dist(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
+  static constexpr std::string_view kFlags[] = {
+      "socket",          "port",           "algorithm",   "weighted",
+      "checkpoint",      "resume",         "refine",      "max-sessions",
+      "idle-timeout-ms", "frame-timeout-ms", "max-pending", "retry-after-ms"};
+  reject_unknown_flags(args, {kFlags, kConfigFlags});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp serve <graph-file> [more graphs] (--socket PATH | --port N)\n"
@@ -679,6 +735,9 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_query(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"socket", "port", "timeout",
+                                                "retries", "retry-backoff-ms"};
+  reject_unknown_flags(args, {kFlags});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp query (--socket PATH | --port N) [--timeout MS] "
@@ -735,6 +794,8 @@ int cmd_query(const Args& args) {
 }
 
 int cmd_convert(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"weighted"};
+  reject_unknown_flags(args, {kFlags});
   if (args.has("help") || args.positionals().size() != 2) {
     std::printf("hsbp convert <graph-file> <out.csr> [--weighted]\n");
     return args.has("help") ? 0 : kExitUsage;
@@ -753,6 +814,10 @@ int cmd_convert(const Args& args) {
 }
 
 int cmd_fit(const Args& args) {
+  static constexpr std::string_view kFlags[] = {
+      "algorithm", "sampler",  "skeleton-frac",  "memory-budget-mb", "pieces",
+      "mmap",      "weighted", "finetune-iters", "json",             "out"};
+  reject_unknown_flags(args, {kFlags, kConfigFlags});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp fit <graph-file|file.csr> [--mmap] [--memory-budget-mb N] "
@@ -856,6 +921,7 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(args);
     if (command == "query") return cmd_query(args);
     if (command == "version") {
+      reject_unknown_flags(args, {});
       std::printf("hsbp %s\n", kVersion);
       return 0;
     }
