@@ -2,6 +2,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -205,20 +206,20 @@ TEST(AsyncPass, NeverEmptiesSingletonBlocks) {
   }
 }
 
-TEST(AsyncPass, DeterministicForSingleThreadTeam) {
-  // The hogwild pass reads neighbors' *live* labels, so with more than
-  // one thread the accepted set depends on cross-thread visibility
-  // timing — the static schedule pins the vertex→RNG mapping, not the
-  // interleaving (TSan's scheduler perturbation surfaces this). The
-  // replayable contract is the single-thread team: same seed, same
-  // schedule, identical result, asserted exactly here. Multi-thread
-  // passes promise workspace validity (invariant tests above), not
-  // replay.
+// The hogwild pass reads neighbors' *live* labels, so with more than
+// one thread the accepted set depends on cross-thread visibility
+// timing — the static schedule pins the vertex→RNG mapping, not the
+// interleaving (TSan's scheduler perturbation surfaces this). The
+// replayable contract is the single-thread team: same seed, same
+// schedule, identical result, asserted exactly here. Multi-thread
+// passes promise workspace validity (invariant tests above), not
+// replay.
+void expect_single_thread_replay(std::uint64_t graph_seed) {
   generator::DcsbmParams p;
   p.num_vertices = 150;
   p.num_communities = 4;
   p.num_edges = 1000;
-  p.seed = 35;
+  p.seed = graph_seed;
   const auto g = generator::generate_dcsbm(p);
   const auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, 4);
   std::vector<Vertex> all(150);
@@ -237,6 +238,14 @@ TEST(AsyncPass, DeterministicForSingleThreadTeam) {
   const auto second = run_once();
   omp_set_num_threads(prev_threads);
   EXPECT_EQ(first, second);
+}
+
+TEST(AsyncPass, DeterministicForSingleThreadTeam) {
+  expect_single_thread_replay(35);
+}
+
+TEST(AsyncPass, DeterministicForSingleThreadTeamOnSecondGraph) {
+  expect_single_thread_replay(43);
 }
 
 TEST(AsyncPass, EmptyVertexSetIsNoop) {
