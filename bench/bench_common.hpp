@@ -8,10 +8,18 @@
 ///   --seed S     master seed
 ///   --threads T  OpenMP threads (0 = runtime default)
 ///   --only ID    restrict to one suite entry (e.g. --only S7)
+///   --csv FILE   machine-readable rows
+/// plus the extra flags a bench names when it calls parse_options. Any
+/// other `--flag` exits 64 before any work, so a stale script's flag
+/// fails instead of running on a default.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/experiment.hpp"
@@ -31,9 +39,29 @@ struct BenchOptions {
   std::string csv;  ///< optional path for machine-readable results
 };
 
-inline BenchOptions parse_options(int argc, char** argv,
-                                  double default_scale, int default_runs) {
+/// Exits 64 (usage) naming every `--flag` of `args` outside the
+/// `known` groups.
+inline void reject_unknown_flags(
+    const util::Args& args,
+    std::initializer_list<std::span<const std::string_view>> known) {
+  const std::string unknown =
+      args.unknown_flags({known.begin(), known.size()});
+  if (unknown.empty()) return;
+  std::fprintf(stderr, "error: %s does not take %s\n", args.program().c_str(),
+               unknown.c_str());
+  std::exit(64);
+}
+
+/// The common options, plus the bench's own `extra_flags`, which it
+/// reads itself.
+inline BenchOptions parse_options(
+    int argc, char** argv, double default_scale, int default_runs,
+    std::initializer_list<std::string_view> extra_flags = {}) {
+  static constexpr std::string_view kFlags[] = {"scale",   "runs", "seed",
+                                                "threads", "only", "csv"};
   const util::Args args(argc, argv);
+  reject_unknown_flags(args,
+                       {kFlags, {extra_flags.begin(), extra_flags.size()}});
   BenchOptions options;
   options.scale = args.get_double("scale", default_scale);
   options.runs = static_cast<int>(args.get_int("runs", default_runs));

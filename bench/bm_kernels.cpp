@@ -323,7 +323,8 @@ BENCHMARK(BM_IdentityBlockmodel);
 // ---- pass-overhead benches (DESIGN §11): what it costs to carry the
 // blockmodel from pass N to pass N+1, as a function of how much the
 // pass moved. DeltaApply is the move-log path plus the now-O(1) MDL;
-// ShardedRebuild is the adaptive fallback (sharded build + O(1) MDL);
+// ShardedRebuild is the adaptive fallback (the full build + O(1) MDL;
+// the name predates the thread-owned row and column ranges, §11);
 // SerialMergeRebuild transcribes the previous per-pass overhead — the
 // serial unordered_map merge plus the O(nnz) floating-point MDL rescan
 // — so the before/after is measurable inside one tree. The Arg is the

@@ -171,7 +171,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::BenchOptions options = bench::parse_options(argc, argv, 0.01, 1);
+  bench::BenchOptions options = bench::parse_options(
+      argc, argv, 0.01, 1,
+      {"json", "budget-mb", "pieces", "skeleton-frac", "finetune-iters"});
   if (options.only.empty()) options.only = "S13";
   const std::string json_path = args.get_string("json", "");
 

@@ -49,7 +49,8 @@ std::string json_row(const std::string& graph_id,
 int main(int argc, char** argv) {
   using namespace hsbp;
 
-  bench::BenchOptions options = bench::parse_options(argc, argv, 0.003, 1);
+  bench::BenchOptions options =
+      bench::parse_options(argc, argv, 0.003, 1, {"json"});
   if (options.only.empty()) options.only = "S2";
   const util::Args args(argc, argv);
   const std::string json_path = args.get_string("json", "");

@@ -31,7 +31,8 @@
 /// JSON output.
 ///
 /// Flags: --clients N (>= 4 enforced), --batches B, --seed S,
-/// --threads T, --graph NAME, --overload N, --shutdown.
+/// --threads T, --graph NAME, --overload N, --shutdown; any other flag
+/// exits 64 before any work.
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "generator/dcsbm.hpp"
 #include "graph/graph.hpp"
 #include "serve/client.hpp"
@@ -141,7 +143,11 @@ std::uint64_t await_info_field(hsbp::serve::Client& client,
 }  // namespace
 
 int main(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "clients", "batches", "overload", "seed",
+      "graph",   "socket",  "shutdown", "threads"};
   const hsbp::util::Args args(argc, argv);
+  hsbp::bench::reject_unknown_flags(args, {kFlags});
   const bool smoke = []() {
     const char* env = std::getenv("HSBP_BENCH_SMOKE");
     return env != nullptr && std::string(env) == "1";

@@ -13,7 +13,8 @@
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = hsbp::bench::parse_options(argc, argv, 1.0, 1);
+  const auto options =
+      hsbp::bench::parse_options(argc, argv, 1.0, 1, {"parts"});
   const hsbp::util::Args args(argc, argv);
   const int parts = static_cast<int>(args.get_int("parts", 4));
 

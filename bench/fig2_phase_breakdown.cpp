@@ -25,7 +25,8 @@ hsbp::sbp::Variant parse_variant(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = hsbp::bench::parse_options(argc, argv, 0.003, 1);
+  const auto options = hsbp::bench::parse_options(argc, argv, 0.003, 1,
+                                                  {"algorithm"});
   const auto variant = parse_variant(
       hsbp::util::Args(argc, argv).get_string("algorithm", "sbp"));
   hsbp::eval::print_banner(

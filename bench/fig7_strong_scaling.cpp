@@ -29,7 +29,8 @@
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = hsbp::bench::parse_options(argc, argv, 0.005, 1);
+  const auto options = hsbp::bench::parse_options(argc, argv, 0.005, 1,
+                                                  {"max-threads", "json"});
   const hsbp::util::Args args(argc, argv);
   const int hardware = omp_get_max_threads();
   const int max_threads =

@@ -71,10 +71,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # its rank sweep reads and writes the pass-start and next membership
 # buffers by raw vertex id. So do the SamBaS suites and the warm-start
 # label rules (extend, refine, warm_refit): the vote and compaction
-# arrays are indexed by raw label. This is a Debug build (the library keeps its
-# -O3), so it is also the stage that runs with asserts on: the chain-
-# equivalence and Hastings-bound suites feed stale A-SBP views, whose
-# negative staged counts no assert may reject (DESIGN §13).
+# arrays are indexed by raw label. So do the exact part of the
+# entry-order gate (ProposalExact, EntryOrder): it walks slices that
+# move_vertex has swap-removed from and appended to. This is a Debug
+# build (the library keeps its -O3), so it is also the stage that runs
+# with asserts on: the chain-equivalence and Hastings-bound suites feed
+# stale A-SBP views, whose negative staged counts no assert may reject
+# (DESIGN §13).
 if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   FAULT_DIR="${BUILD_DIR}-fault-asan"
   cmake -B "$FAULT_DIR" -S . -DHSBP_SANITIZE=address,undefined \
@@ -84,15 +87,17 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   "$FAULT_DIR/tests/test_blockmodel" \
     --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
-    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*'
+    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*:ProposalExact.*:*EntryOrder*'
   "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'
   "$FAULT_DIR/tests/test_sample"
 fi
 
 # Stage 3: rebuild the async/hybrid- and serve-labelled parallel
 # suites under TSan — the single-writer-per-vertex/move-log protocol
-# (DESIGN §11), D-SBP's concurrent rank sweep (each rank writes only its
-# own vertices of one shared buffer) and the serve snapshot-swap
+# (DESIGN §11), the blockmodel build's 4-thread cases (each thread fills
+# only its own rows, then its own columns), D-SBP's concurrent rank
+# sweep (each rank writes only its own vertices of one shared buffer)
+# and the serve snapshot-swap
 # contract (DESIGN §12) are exactly the kind of claims only a thread
 # sanitizer can audit. Runs
 # with a fixed OpenMP thread count so single-CPU machines still get

@@ -4,6 +4,7 @@
 /// build's edge scan (DESIGN §10, §11).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -24,16 +25,18 @@ namespace hsbp::blockmodel {
 class BlockTally {
  public:
   /// Forgets the previous tally and makes room for up to `sightings`
-  /// sightings of blocks in [0, num_blocks). Both arrays only grow.
+  /// sightings of blocks in [0, num_blocks). Both arrays only grow, the
+  /// list to num_blocks + 1 slots (add() writes one past the blocks seen).
   void begin(BlockId num_blocks, std::size_t sightings) {
     for (std::size_t i = 0; i < size_; ++i) {
       count_[static_cast<std::size_t>(list_[i])] = 0;
     }
     size_ = 0;
-    if (count_.size() < static_cast<std::size_t>(num_blocks)) {
-      count_.resize(static_cast<std::size_t>(num_blocks), 0);
+    const auto blocks = static_cast<std::size_t>(num_blocks);
+    if (count_.size() < blocks) count_.resize(blocks, 0);
+    if (list_.size() < std::min(sightings, blocks + 1)) {
+      list_.resize(std::min(sightings, blocks + 1));
     }
-    if (list_.size() < sightings) list_.resize(sightings);
   }
 
   /// One sighting of block_of(u) for every u in `vertices` except

@@ -4,9 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "blockmodel/block_tally.hpp"
 #include "util/omp_region.hpp"
@@ -88,169 +89,123 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   ll_cells_ = 0;
   ll_degrees_ = 0;
 
+  // One order rule at every thread count (DESIGN §11): row r tallies the
+  // out-neighbor blocks of its vertices in ascending id (the gather's
+  // BlockTally), so it lists its columns in order of first sighting, and
+  // the columns are filled from the rows in ascending row id. Threads
+  // own contiguous ranges of rows, then of columns: the split decides
+  // who writes a line, never its order. The likelihood partials are
+  // fixed-point integers, so their serial reduction is order-independent.
+  //
+  // A counting sort lists block r's vertices in ascending id as
+  // members[first[r] .. first[r + 1]); next[r] is the first of them no
+  // row fill has taken yet.
+  const Vertex v_count = graph.num_vertices();
   for (const std::int32_t label : assignment_) {
     ++block_sizes_[static_cast<std::size_t>(label)];
   }
+  std::vector<std::int64_t> first(blocks + 1, v_count);
+  std::partial_sum(block_sizes_.begin(), block_sizes_.end(), first.begin());
+  std::vector<Vertex> members(static_cast<std::size_t>(v_count));
+  for (Vertex v = v_count; v-- > 0;) {
+    const auto label = static_cast<std::size_t>(block_of(v));
+    members[static_cast<std::size_t>(--first[label])] = v;
+  }
+  std::vector<std::int64_t> next(first.begin(), first.end() - 1);
 
-  // Sharded parallel accumulation (DESIGN §11): phase A gathers each
-  // thread's (block pair → count) maps bucketed by row owner
-  // (shard = row mod S); phase B merges each row shard into the matrix
-  // rows — no two shards share a row, so no locks — accumulating d_out_
-  // in the same sweep and re-emitting the merged cells bucketed by
-  // column owner; phase C merges those into the column slices,
-  // accumulating d_in_. The likelihood partials are per-shard
-  // fixed-point integers, so the serial reduction at the end is
-  // order-independent and the result is bit-identical to the
-  // incrementally maintained sums.
-  const Vertex v_count = graph.num_vertices();
-  const int threads = omp_get_max_threads();
-  const auto shards = static_cast<std::size_t>(threads);
-
-  std::vector<std::vector<std::unordered_map<std::uint64_t, Count>>> locals(
-      shards, std::vector<std::unordered_map<std::uint64_t, Count>>(shards));
-
-  struct ColCell {
-    BlockId row;
-    BlockId col;
-    Count value;
-  };
-  std::vector<std::vector<std::vector<ColCell>>> col_cells(
-      shards, std::vector<std::vector<ColCell>>(shards));
-
-  struct ShardTotals {
+  // One tally and one set of partial sums per thread, a cache line apart.
+  struct alignas(64) ThreadPart {
+    BlockTally tally;
     Count total = 0;
     std::int64_t nnz = 0;
     LlFixed ll_cells = 0;
     LlFixed ll_degrees = 0;
   };
-  std::vector<ShardTotals> totals(shards);
+  std::vector<ThreadPart> parts(
+      static_cast<std::size_t>(omp_get_max_threads()));
 
-  // Orphaned worksharing bodies: each runs inside an enclosing
-  // util::omp_region. Splitting them out lets the chunked path below run
-  // phase A over bounded vertex ranges (releasing mapped pages between
-  // ranges) while the default path keeps the original single region.
-  //
-  // Phase A tallies each vertex's out-neighbor blocks first (the
-  // gather's BlockTally), then makes one map update per distinct
-  // (row, col) pair in first-sighting order instead of one per edge. A
-  // libstdc++ unordered_map's iteration order depends only on the
-  // sequence of new keys inserted (rehashes are triggered by the
-  // element count), and a key new to the map is inserted at its first
-  // sighting either way — so phases B and C see the same maps, in the
-  // same order, and build the same slices (DESIGN §11).
-  //
-  // One tally per thread, a cache line apart: every vertex writes its
-  // thread's tally.
-  struct alignas(64) ThreadTally {
-    BlockTally tally;
+  // The calling thread's share [lo, hi) of the C rows (or columns).
+  const auto owned = [c = static_cast<std::int64_t>(num_blocks_)] {
+    const std::int64_t t = omp_get_thread_num();
+    const std::int64_t n = omp_get_num_threads();
+    return std::pair{static_cast<BlockId>(c * t / n),
+                     static_cast<BlockId>(c * (t + 1) / n)};
   };
-  std::vector<ThreadTally> tallies(shards);
-  const auto phase_a = [&](Vertex begin, Vertex end) {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    auto& local = locals[tid];
-    BlockTally& tally = tallies[tid].tally;
-#pragma omp for schedule(static) nowait
-    for (Vertex v = begin; v < end; ++v) {
-      const auto src_block = static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(assignment_[static_cast<std::size_t>(v)]));
-      auto& bucket = local[static_cast<std::size_t>(src_block) % shards];
-      const std::span<const Vertex> targets = graph.out_neighbors(v);
-      tally.begin(num_blocks_, targets.size());
-      tally.add(targets, -1, [labels = assignment_.data()](Vertex u) {
-        return labels[static_cast<std::size_t>(u)];
-      });
+
+  // Bodies of the util::omp_region calls below. fill_rows(end) adds to
+  // each owned row its untaken members below `end`.
+  const auto fill_rows = [&](Vertex end) {
+    const auto [lo, hi] = owned();
+    BlockTally& tally =
+        parts[static_cast<std::size_t>(omp_get_thread_num())].tally;
+    const std::int32_t* const labels = assignment_.data();
+    const auto member = [&members](std::int64_t i) {
+      return members[static_cast<std::size_t>(i)];
+    };
+    for (BlockId r = lo; r < hi; ++r) {
+      const auto row = static_cast<std::size_t>(r);
+      const std::int64_t from = next[row];
+      Count sightings = 0;
+      for (; next[row] < first[row + 1] && member(next[row]) < end;
+           ++next[row]) {
+        sightings += graph.out_degree(member(next[row]));
+      }
+      if (next[row] == from) continue;
+      tally.begin(num_blocks_, static_cast<std::size_t>(sightings));
+      for (std::int64_t i = from; i < next[row]; ++i) {
+        tally.add(graph.out_neighbors(member(i)), -1, [labels](Vertex u) {
+          return labels[static_cast<std::size_t>(u)];
+        });
+      }
+      FlatSlice& slice = m_.bulk_row(r);
       for (std::size_t i = 0; i < tally.size(); ++i) {
-        const BlockId dst_block = tally.block(i);
-        bucket[(src_block << 32) | static_cast<std::uint32_t>(dst_block)] +=
-            tally.count(dst_block);
+        const BlockId col = tally.block(i);
+        slice.add(col, tally.count(col));
       }
+      d_out_[row] += sightings;
     }
   };
 
-  const auto phase_b = [&] {
-#pragma omp for schedule(static, 1) nowait
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(shards); ++s) {
-      ShardTotals& t = totals[static_cast<std::size_t>(s)];
-      for (std::size_t src = 0; src < shards; ++src) {
-        for (const auto& [key, count] :
-             locals[src][static_cast<std::size_t>(s)]) {
-          const auto row = static_cast<BlockId>(key >> 32);
-          const auto col = static_cast<BlockId>(key & 0xffffffffULL);
-          t.nnz += m_.bulk_row(row).add(col, count);
-          d_out_[static_cast<std::size_t>(row)] += count;
-          t.total += count;
-        }
+  const auto fill_cols = [&] {
+    const auto [lo, hi] = owned();
+    ThreadPart& part = parts[static_cast<std::size_t>(omp_get_thread_num())];
+    for (BlockId r = 0; r < num_blocks_; ++r) {
+      for (const auto& [col, value] : m_.row(r)) {
+        if (col < lo || col >= hi) continue;
+        part.nnz += m_.bulk_col(col).add(r, value);
+        d_in_[static_cast<std::size_t>(col)] += value;
+        part.total += value;
+        part.ll_cells += xlogx_fixed(value);
       }
-      // Owned rows are final here: fold their cells into the likelihood
-      // partial and re-bucket them by column owner for phase C.
-      auto& out_buckets = col_cells[static_cast<std::size_t>(s)];
-      for (auto r = static_cast<BlockId>(s); r < num_blocks_;
-           r += static_cast<BlockId>(shards)) {
-        for (const auto& [col, value] : m_.bulk_row(r)) {
-          t.ll_cells += xlogx_fixed(value);
-          out_buckets[static_cast<std::size_t>(col) % shards].push_back(
-              {r, col, value});
-        }
-        t.ll_degrees += xlogx_fixed(d_out_[static_cast<std::size_t>(r)]);
-      }
+    }
+    for (BlockId b = lo; b < hi; ++b) {
+      part.ll_degrees += xlogx_fixed(d_out_[static_cast<std::size_t>(b)]) +
+                         xlogx_fixed(d_in_[static_cast<std::size_t>(b)]);
     }
   };
 
-  const auto phase_c = [&] {
-#pragma omp for schedule(static, 1) nowait
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(shards); ++s) {
-      ShardTotals& t = totals[static_cast<std::size_t>(s)];
-      for (std::size_t src = 0; src < shards; ++src) {
-        for (const ColCell& cell :
-             col_cells[src][static_cast<std::size_t>(s)]) {
-          m_.bulk_col(cell.col).add(cell.row, cell.value);
-          d_in_[static_cast<std::size_t>(cell.col)] += cell.value;
-        }
-      }
-      for (auto c = static_cast<BlockId>(s); c < num_blocks_;
-           c += static_cast<BlockId>(shards)) {
-        t.ll_degrees += xlogx_fixed(d_in_[static_cast<std::size_t>(c)]);
-      }
-    }
-  };
-
-  if (release == nullptr) {
-    util::omp_region([&] {
-      phase_a(0, v_count);
-      util::omp_region_barrier();  // phase A maps → phase B merge
-      phase_b();
-      util::omp_region_barrier();  // phase B cells → phase C columns
-      phase_c();
-    });
-  } else {
-    // Out-of-core path: scan bounded vertex ranges, dropping mapped CSR
-    // pages between ranges so peak residency stays near one chunk. The
-    // gathered maps are the same integer counts, just accumulated in a
-    // different grouping.
-    const std::int64_t chunk =
-        chunk_vertices > 0 ? chunk_vertices
-                           : std::max<std::int64_t>(v_count, 1);
-    for (std::int64_t begin = 0; begin < v_count; begin += chunk) {
-      const auto end = static_cast<Vertex>(
-          std::min<std::int64_t>(begin + chunk, v_count));
-      util::omp_region(
-          [&] { phase_a(static_cast<Vertex>(begin), end); });
-      (*release)();
-    }
-    util::omp_region([&] {
-      phase_b();
-      util::omp_region_barrier();  // phase B cells → phase C columns
-      phase_c();
-    });
+  // Out-of-core builds scan bounded vertex ranges, calling `release`
+  // between ranges to drop mapped CSR pages, so peak residency stays near
+  // one chunk; the ranges run in ascending order, so the rows come out
+  // the same. Every other build fills its rows in one range.
+  const std::int64_t chunk = release != nullptr && chunk_vertices > 0
+                                 ? chunk_vertices
+                                 : std::max<std::int64_t>(v_count, 1);
+  for (std::int64_t begin = 0; begin < v_count; begin += chunk) {
+    const auto end =
+        static_cast<Vertex>(std::min<std::int64_t>(begin + chunk, v_count));
+    util::omp_region([&] { fill_rows(end); });
+    if (release != nullptr) (*release)();
   }
+  util::omp_region(fill_cols);  // every row is final here
 
   Count total = 0;
   std::int64_t nnz = 0;
-  for (const ShardTotals& t : totals) {
-    total += t.total;
-    nnz += t.nnz;
-    ll_cells_ += t.ll_cells;
-    ll_degrees_ += t.ll_degrees;
+  for (const ThreadPart& part : parts) {
+    total += part.total;
+    nnz += part.nnz;
+    ll_cells_ += part.ll_cells;
+    ll_degrees_ += part.ll_degrees;
   }
   m_.set_bulk_counters(total, static_cast<std::size_t>(nnz));
 }

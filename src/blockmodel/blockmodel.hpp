@@ -11,8 +11,8 @@
 ///     Metropolis-Hastings (Alg. 2), H-SBP's synchronous pass (Alg. 4),
 ///     and the post-pass move-log delta application (DESIGN §11);
 ///   - from_assignment() / rebuild(): full reconstruction from a
-///     membership vector via a row/column-owner-sharded parallel merge,
-///     used at initialization, merge boundaries, and the adaptive
+///     membership vector, the same slices at every thread count (DESIGN
+///     §11), used at initialization, merge boundaries, and the adaptive
 ///     fallback when a pass moved too much degree mass for deltas to win.
 ///
 /// Both paths also maintain the log-likelihood term of the MDL as a
@@ -48,8 +48,8 @@ class Blockmodel {
   /// driver: the edge scan runs over `chunk_vertices`-sized vertex
   /// ranges with `release` invoked between ranges (pointed at
   /// MmapGraph::evict it caps how much of a mapped CSR stays resident).
-  /// The accumulation is integer counts keyed by block pair, so the
-  /// result equals from_assignment exactly.
+  /// The ranges run in ascending order, so the result equals
+  /// from_assignment exactly, slice entry order included.
   static Blockmodel from_assignment_chunked(
       const graph::GraphView& graph,
       std::span<const std::int32_t> assignment, BlockId num_blocks,

@@ -146,8 +146,8 @@ class DictTransposeMatrix {
   /// violation. O(nnz + C²) with a dense mirror, else O(nnz).
   bool check_consistency() const;
 
-  /// Bulk-construction escape hatch for the sharded parallel rebuild
-  /// (Blockmodel::build_from): each shard owns a disjoint set of rows
+  /// Bulk-construction escape hatch for the parallel build
+  /// (Blockmodel::build_from): each thread owns a disjoint range of rows
   /// (then, in a second phase, columns) and fills the slices directly,
   /// bypassing the per-add mirror/total/nnz bookkeeping. The caller
   /// must insert every cell on both sides and then restore the

@@ -19,7 +19,7 @@
 /// blockmodel through move_vertex (O(degree) each) lands on the same
 /// state a full rebuild would, cell for cell. finish_pass() applies the
 /// log when the moved degree mass is small (the common late-pass case)
-/// and falls back to a sharded full rebuild when a high-acceptance pass
+/// and falls back to a full parallel rebuild when a high-acceptance pass
 /// moved more than `rebuild_threshold` of the edge mass, where the
 /// rebuild's one-touch-per-edge scan is cheaper than ~4 slice updates
 /// per moved edge.

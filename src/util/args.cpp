@@ -15,7 +15,8 @@ std::string to_lower(std::string text) {
 
 }  // namespace
 
-Args::Args(int argc, const char* const* argv) {
+Args::Args(int argc, const char* const* argv,
+           std::span<const std::string_view> bare_flags) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
@@ -28,7 +29,10 @@ Args::Args(int argc, const char* const* argv) {
     if (const auto eq = name.find('='); eq != std::string::npos) {
       value = name.substr(eq + 1);
       name = name.substr(0, eq);
-    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (i + 1 < argc &&
+               std::string_view(argv[i + 1]).rfind("--", 0) != 0 &&
+               std::find(bare_flags.begin(), bare_flags.end(), name) ==
+                   bare_flags.end()) {
       value = argv[++i];
     }
     named_[name] = std::move(value);
@@ -45,6 +49,19 @@ std::vector<std::string> Args::names() const {
   for (const auto& entry : named_) out.push_back(entry.first);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::string Args::unknown_flags(
+    std::span<const std::span<const std::string_view>> known) const {
+  std::string unknown;
+  for (const std::string& name : names()) {
+    const bool found =
+        std::any_of(known.begin(), known.end(), [&name](const auto group) {
+          return std::find(group.begin(), group.end(), name) != group.end();
+        });
+    if (!found) unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  return unknown;
 }
 
 std::optional<std::string> Args::raw(const std::string& name) const {

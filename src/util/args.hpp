@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -14,7 +16,11 @@ namespace hsbp::util {
 
 class Args {
  public:
-  Args(int argc, const char* const* argv);
+  /// A flag in `bare_flags` never takes the next token as its value
+  /// (`--weighted g.mtx` keeps g.mtx positional); `--flag=value` still
+  /// sets one.
+  Args(int argc, const char* const* argv,
+       std::span<const std::string_view> bare_flags = {});
 
   /// True if `--name` appeared (with or without a value).
   bool has(const std::string& name) const noexcept;
@@ -33,6 +39,11 @@ class Args {
 
   /// Names of every `--name` given, sorted.
   std::vector<std::string> names() const;
+
+  /// Every `--name` given that no group of `known` lists, sorted, as
+  /// "--a, --b"; empty when each is known.
+  std::string unknown_flags(
+      std::span<const std::span<const std::string_view>> known) const;
 
   const std::string& program() const noexcept { return program_; }
 

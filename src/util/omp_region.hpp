@@ -20,9 +20,8 @@
 /// closure through the slot. The join edge is bridged the same way in
 /// reverse (per-thread release at region end, serial acquire after).
 ///
-/// Worksharing constructs inside the closure bind to the region as
-/// orphaned constructs; use `nowait` plus omp_region_barrier() between
-/// phases that hand data across threads so the handoff is bridged too.
+/// Phases that hand data across threads run as consecutive regions, so
+/// the join and fork edges bridge the handoff too.
 ///
 /// Not reentrant: one region at a time, entered from serial code only
 /// (asserted). All no-ops-but-the-pragmas outside -fsanitize=thread.
@@ -52,16 +51,6 @@ inline void omp_region(const F& body) {
     tsan_omp_sync();  // release this thread's region writes
   }
   tsan_omp_sync();  // acquire the join edge
-}
-
-/// Phase boundary inside an omp_region() closure: releases the calling
-/// thread's writes, waits on a real barrier, then acquires every other
-/// thread's pre-barrier release. Pair with `nowait` on the preceding
-/// worksharing construct to avoid a redundant implicit barrier.
-inline void omp_region_barrier() noexcept {
-  tsan_omp_sync();  // release this thread's phase writes
-#pragma omp barrier
-  tsan_omp_sync();  // acquire every thread's phase writes
 }
 
 /// How a driver applies its `num_threads`: sets the OpenMP team size to

@@ -1,9 +1,11 @@
 /// The flat per-block tallies (blockmodel/block_tally.hpp) in their two
 /// users. BuildSliceOrder pins the blockmodel build's slice entry order
-/// to the per-edge reference scan: the build tallies each vertex's
-/// out-neighbor blocks and makes one map update per distinct block, and
-/// every row and column slice must still come out in the order the
-/// per-edge scan gives. MoveScratchReuse drives one MoveScratch through
+/// to the serial per-edge reference scan: the build tallies each row's
+/// out-neighbor blocks over its vertices (grouped by a counting sort),
+/// and every row and column slice must come out in the order the
+/// per-edge scan gives, whole or chunked, at 1 and at 4 threads (the
+/// 4-thread cases carry the `async` label, so check_tier1.sh runs them
+/// under TSan). MoveScratchReuse drives one MoveScratch through
 /// gathers at different block counts, with block_merge_phase's refill
 /// of `nb` in between, and checks every gather against the reference.
 #include <gtest/gtest.h>
@@ -41,6 +43,22 @@ const BuildCase kBuildCases[] = {
     {120, 6, 7200},    // dense: avg degree 60
     {200, 160, 1200},  // C ≈ V: avg degree 12
 };
+
+/// The entry sequences of every row and column slice of `b`.
+reference::BuildSlices slices_of(const Blockmodel& b) {
+  reference::BuildSlices slices;
+  for (BlockId r = 0; r < b.num_blocks(); ++r) {
+    auto& row = slices.rows.emplace_back();
+    for (const auto& [col, value] : b.matrix().row(r)) {
+      row.emplace_back(col, value);
+    }
+    auto& col = slices.cols.emplace_back();
+    for (const auto& [row_id, value] : b.matrix().col(r)) {
+      col.emplace_back(row_id, value);
+    }
+  }
+  return slices;
+}
 
 void expect_slices_equal(const Blockmodel& b,
                          const reference::BuildSlices& ref,
@@ -90,19 +108,18 @@ TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
   };
   const std::vector<std::int32_t> labels = random_labels();
 
-  expect_slices_equal(Blockmodel::from_assignment(g, labels, bc.blocks),
-                      reference::build_slices(g, labels, bc.blocks, 0),
-                      "from_assignment");
+  const reference::BuildSlices want =
+      reference::build_slices(g, labels, bc.blocks);
+  const Blockmodel whole = Blockmodel::from_assignment(g, labels, bc.blocks);
+  expect_slices_equal(whole, want, "from_assignment");
 
-  // Chunk sizes below, at and above the static schedule's per-thread
-  // share, so chunks split, match and straddle the thread ranges.
+  // Chunks that split most rows' vertices across ranges move no entry.
   for (const Vertex chunk : {Vertex{7}, Vertex{30}, Vertex{50}}) {
     int releases = 0;
     expect_slices_equal(
         Blockmodel::from_assignment_chunked(g, labels, bc.blocks, chunk,
                                             [&releases] { ++releases; }),
-        reference::build_slices(g, labels, bc.blocks, chunk),
-        "from_assignment_chunked");
+        want, "from_assignment_chunked");
     EXPECT_EQ(releases, (bc.vertices + chunk - 1) / chunk);
   }
 
@@ -110,10 +127,15 @@ TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
   Blockmodel rebuilt =
       Blockmodel::from_assignment(g, random_labels(), bc.blocks);
   rebuilt.rebuild(g, labels);
-  expect_slices_equal(rebuilt,
-                      reference::build_slices(g, labels, bc.blocks, 0),
-                      "rebuild");
+  expect_slices_equal(rebuilt, want, "rebuild");
   EXPECT_TRUE(rebuilt.check_consistency(g));
+
+  // The other thread count builds the same slices, compared directly.
+  const int other = std::get<1>(GetParam()) == 1 ? 4 : 1;
+  const util::ScopedThreads other_threads(other);
+  EXPECT_TRUE(slices_of(Blockmodel::from_assignment(g, labels, bc.blocks)) ==
+              slices_of(whole))
+      << "1-thread and 4-thread builds differ";
 }
 
 INSTANTIATE_TEST_SUITE_P(CasesByThreads, BuildSliceOrder,

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/args.hpp"
@@ -95,6 +96,28 @@ TEST(Args, MalformedBoolThrows) {
 TEST(Args, LastOccurrenceWins) {
   const Args args = make_args({"--n", "1", "--n", "2"});
   EXPECT_EQ(args.get_int("n", 0), 2);
+}
+
+TEST(Args, BareFlagLeavesNextTokenPositional) {
+  std::vector<const char*> argv = {"prog", "--weighted", "g.mtx", "--runs",
+                                   "1"};
+  const std::string_view bare[] = {"weighted"};
+  const Args args(static_cast<int>(argv.size()), argv.data(), bare);
+  EXPECT_TRUE(args.get_bool("weighted", false));
+  ASSERT_EQ(args.positionals().size(), 1u);
+  EXPECT_EQ(args.positionals()[0], "g.mtx");
+  EXPECT_EQ(args.get_int("runs", 0), 1);
+
+  // `--flag=value` still sets a value; other flags still take the next
+  // token.
+  argv = {"prog", "--weighted=false", "--out", "x.tsv", "g.mtx"};
+  const Args spelled(static_cast<int>(argv.size()), argv.data(), bare);
+  EXPECT_FALSE(spelled.get_bool("weighted", true));
+  EXPECT_EQ(spelled.get_string("out", ""), "x.tsv");
+  ASSERT_EQ(spelled.positionals().size(), 1u);
+
+  // Without the bare list the flag takes the positional as its value.
+  EXPECT_TRUE(make_args({"--weighted", "g.mtx"}).positionals().empty());
 }
 
 }  // namespace

@@ -37,7 +37,9 @@
 ///
 /// Every command that fits also takes --seed S, --threads T,
 /// --fraction F (H-SBP's serial share) and --batches K (B-SBP). A flag
-/// the command does not take is a usage error (exit 64).
+/// the command does not take is a usage error (exit 64), and a flag
+/// that takes no value (`--weighted`, `--json`, `--mmap`, `--baseline`,
+/// `serve --resume`) never takes the token after it as one.
 ///
 /// Checkpointing (`detect`, `sample`): `--checkpoint FILE` snapshots
 /// the run to FILE (atomically) every `--checkpoint-every N` outer
@@ -125,7 +127,7 @@ constexpr int kExitInterrupted = 75;
 }
 
 // The flags each helper below reads; a command lists the groups it
-// calls plus its own flags (reject_unknown_flags).
+// calls plus its own flags (parse_flags).
 constexpr std::string_view kConfigFlags[] = {"seed", "threads", "fraction",
                                              "batches"};  // base_config
 constexpr std::string_view kGeneratorFlags[] = {
@@ -133,24 +135,33 @@ constexpr std::string_view kGeneratorFlags[] = {
 constexpr std::string_view kCheckpointFlags[] = {
     "checkpoint", "checkpoint-every", "resume"};  // checkpoint_config
 
-/// Usage error (exit 64) naming every `--flag` the command does not
-/// read, so a typo fails before any work instead of running on a
-/// default. `--help` is always accepted.
-void reject_unknown_flags(
-    const Args& args,
-    std::initializer_list<std::span<const std::string_view>> known) {
-  std::string unknown;
-  for (const std::string& name : args.names()) {
-    bool found = name == "help";
-    for (const auto group : known) {
-      for (const std::string_view flag : group) found = found || flag == name;
-    }
-    if (!found) unknown += (unknown.empty() ? "--" : ", --") + name;
-  }
-  if (!unknown.empty()) {
+/// A command's own arguments: argv from the command name on.
+struct CommandLine {
+  int argc;
+  const char* const* argv;
+};
+
+/// Parses a command's arguments, then fails with a usage error (exit
+/// 64) naming every `--flag` the command does not read, so a typo fails
+/// before any work instead of running on a default. `--help` is always
+/// accepted. `--help` and the flags in `bare` take no value: the token
+/// after them stays a positional (`--weighted g.mtx`), while
+/// `--weighted=false` still sets one.
+Args parse_flags(CommandLine line,
+                 std::initializer_list<std::span<const std::string_view>> known,
+                 std::initializer_list<std::string_view> bare = {}) {
+  static constexpr std::string_view kHelp[] = {"help"};
+  std::vector<std::string_view> bare_flags(bare);
+  bare_flags.push_back("help");
+  const Args args(line.argc, line.argv, bare_flags);
+  std::vector<std::span<const std::string_view>> groups(known);
+  groups.push_back(kHelp);
+  if (const std::string unknown = args.unknown_flags(groups);
+      !unknown.empty()) {
     throw std::invalid_argument("hsbp " + args.program() +
                                 " does not take " + unknown);
   }
+  return args;
 }
 
 hsbp::sbp::Variant parse_variant(const std::string& name) {
@@ -220,10 +231,10 @@ int report_interrupted(const std::string& save_path) {
   return kExitInterrupted;
 }
 
-int cmd_generate(const Args& args) {
+int cmd_generate(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"suite", "scale", "seed",
                                                 "outdir", "only"};
-  reject_unknown_flags(args, {kFlags});
+  const Args args = parse_flags(line, {kFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp generate --suite synthetic|realworld|both --scale F "
@@ -266,10 +277,11 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
-int cmd_detect(const Args& args) {
+int cmd_detect(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"algorithm", "weighted",
                                                 "runs", "out"};
-  reject_unknown_flags(args, {kFlags, kConfigFlags, kCheckpointFlags});
+  const Args args = parse_flags(
+      line, {kFlags, kConfigFlags, kCheckpointFlags}, {"weighted"});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp detect <graph-file> [--algorithm sbp|asbp|hsbp|bsbp] "
@@ -322,9 +334,10 @@ int cmd_detect(const Args& args) {
   return 0;
 }
 
-int cmd_compare(const Args& args) {
+int cmd_compare(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"weighted", "runs", "csv"};
-  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
+  const Args args = parse_flags(
+      line, {kFlags, kGeneratorFlags, kConfigFlags}, {"weighted"});
   if (args.has("help")) {
     std::printf(
         "hsbp compare [<graph-file>] [--runs K] [--vertices N] "
@@ -356,12 +369,13 @@ int cmd_compare(const Args& args) {
   return 0;
 }
 
-int cmd_sample(const Args& args) {
+int cmd_sample(CommandLine line) {
   static constexpr std::string_view kFlags[] = {
       "weighted", "suite",       "scale",          "only",     "algorithm",
       "sampler",  "sample-frac", "finetune-iters", "baseline", "out"};
-  reject_unknown_flags(
-      args, {kFlags, kGeneratorFlags, kConfigFlags, kCheckpointFlags});
+  const Args args = parse_flags(
+      line, {kFlags, kGeneratorFlags, kConfigFlags, kCheckpointFlags},
+      {"weighted", "baseline"});
   if (args.has("help")) {
     std::printf(
         "hsbp sample [<graph-file>] [--sample-frac F] "
@@ -487,10 +501,11 @@ int cmd_sample(const Args& args) {
   return 0;
 }
 
-int cmd_stream(const Args& args) {
+int cmd_stream(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"parts", "order",
                                                 "algorithm"};
-  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
+  const Args args =
+      parse_flags(line, {kFlags, kGeneratorFlags, kConfigFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp stream [--parts K] [--order edge|snowball] [generator "
@@ -534,8 +549,8 @@ int cmd_stream(const Args& args) {
   return 0;
 }
 
-int cmd_score(const Args& args) {
-  reject_unknown_flags(args, {});
+int cmd_score(CommandLine line) {
+  const Args args = parse_flags(line, {});
   if (args.has("help") || args.positionals().size() != 2) {
     std::printf(
         "hsbp score <truth.tsv> <predicted.tsv> — NMI/ARI/pairwise-F1 "
@@ -560,9 +575,10 @@ int cmd_score(const Args& args) {
   return 0;
 }
 
-int cmd_dist(const Args& args) {
+int cmd_dist(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"ranks", "partition"};
-  reject_unknown_flags(args, {kFlags, kGeneratorFlags, kConfigFlags});
+  const Args args =
+      parse_flags(line, {kFlags, kGeneratorFlags, kConfigFlags});
   if (args.has("help")) {
     std::printf(
         "hsbp dist [--ranks R] [--partition range|roundrobin|balanced] "
@@ -588,12 +604,13 @@ int cmd_dist(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
+int cmd_serve(CommandLine line) {
   static constexpr std::string_view kFlags[] = {
       "socket",          "port",           "algorithm",   "weighted",
       "checkpoint",      "resume",         "refine",      "max-sessions",
       "idle-timeout-ms", "frame-timeout-ms", "max-pending", "retry-after-ms"};
-  reject_unknown_flags(args, {kFlags, kConfigFlags});
+  const Args args =
+      parse_flags(line, {kFlags, kConfigFlags}, {"weighted", "resume"});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp serve <graph-file> [more graphs] (--socket PATH | --port N)\n"
@@ -734,10 +751,10 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_query(const Args& args) {
+int cmd_query(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"socket", "port", "timeout",
                                                 "retries", "retry-backoff-ms"};
-  reject_unknown_flags(args, {kFlags});
+  const Args args = parse_flags(line, {kFlags});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp query (--socket PATH | --port N) [--timeout MS] "
@@ -793,9 +810,9 @@ int cmd_query(const Args& args) {
   return hsbp::serve::is_ok(*reply) ? 0 : kExitData;
 }
 
-int cmd_convert(const Args& args) {
+int cmd_convert(CommandLine line) {
   static constexpr std::string_view kFlags[] = {"weighted"};
-  reject_unknown_flags(args, {kFlags});
+  const Args args = parse_flags(line, {kFlags}, {"weighted"});
   if (args.has("help") || args.positionals().size() != 2) {
     std::printf("hsbp convert <graph-file> <out.csr> [--weighted]\n");
     return args.has("help") ? 0 : kExitUsage;
@@ -813,11 +830,12 @@ int cmd_convert(const Args& args) {
   return 0;
 }
 
-int cmd_fit(const Args& args) {
+int cmd_fit(CommandLine line) {
   static constexpr std::string_view kFlags[] = {
       "algorithm", "sampler",  "skeleton-frac",  "memory-budget-mb", "pieces",
       "mmap",      "weighted", "finetune-iters", "json",             "out"};
-  reject_unknown_flags(args, {kFlags, kConfigFlags});
+  const Args args = parse_flags(line, {kFlags, kConfigFlags},
+                                {"mmap", "weighted", "json"});
   if (args.has("help") || args.positionals().empty()) {
     std::printf(
         "hsbp fit <graph-file|file.csr> [--mmap] [--memory-budget-mb N] "
@@ -907,21 +925,21 @@ int cmd_fit(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) usage(kExitUsage);
   const std::string command = argv[1];
-  const Args args(argc - 1, argv + 1);
+  const CommandLine line{argc - 1, argv + 1};
   try {
-    if (command == "generate") return cmd_generate(args);
-    if (command == "detect") return cmd_detect(args);
-    if (command == "compare") return cmd_compare(args);
-    if (command == "sample") return cmd_sample(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "dist") return cmd_dist(args);
-    if (command == "score") return cmd_score(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "fit") return cmd_fit(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "query") return cmd_query(args);
+    if (command == "generate") return cmd_generate(line);
+    if (command == "detect") return cmd_detect(line);
+    if (command == "compare") return cmd_compare(line);
+    if (command == "sample") return cmd_sample(line);
+    if (command == "stream") return cmd_stream(line);
+    if (command == "dist") return cmd_dist(line);
+    if (command == "score") return cmd_score(line);
+    if (command == "convert") return cmd_convert(line);
+    if (command == "fit") return cmd_fit(line);
+    if (command == "serve") return cmd_serve(line);
+    if (command == "query") return cmd_query(line);
     if (command == "version") {
-      reject_unknown_flags(args, {});
+      parse_flags(line, {});
       std::printf("hsbp %s\n", kVersion);
       return 0;
     }
