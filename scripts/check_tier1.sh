@@ -64,7 +64,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # mirror (DESIGN §10) is raw strided indexing into a C×C array, read by
 # every ΔMDL, Hastings and merge kernel, and the gather's and the
 # build's per-block tallies are raw int32 arrays indexed by block id
-# without bounds checks, sized from the block count. The
+# without bounds checks, sized from the block count (TallyRuns resizes
+# the build's tally for each run it cuts a row into). The
 # phase-equivalence suite runs there too: the pass loop cuts its vertex
 # lists into slices and mirrors serial moves into a workspace by raw
 # vertex and block index. So do D-SBP's equivalence and driver suites:
@@ -85,7 +86,7 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   cmake --build "$FAULT_DIR" -j "$JOBS"
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
   "$FAULT_DIR/tests/test_blockmodel" \
-    --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:*MoveScratchReuse*'
+    --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:TallyRuns.*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
     --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*:ProposalExact.*:*EntryOrder*'
   "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'

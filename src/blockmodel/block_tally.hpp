@@ -1,7 +1,7 @@
 /// \file block_tally.hpp
 /// \brief Per-block sighting counter with first-sighting order — the
 /// dedup behind the MCMC step's neighbor gather and the blockmodel
-/// build's edge scan (DESIGN §10, §11).
+/// build's row tallies (DESIGN §10, §11).
 #pragma once
 
 #include <algorithm>
@@ -80,5 +80,38 @@ class BlockTally {
   std::vector<BlockId> list_;
   std::size_t size_ = 0;
 };
+
+/// Tallies the blocks of the vertices in `lists` (a range of spans
+/// holding `sightings` vertices in all) in consecutive runs of at most
+/// `cap` sightings, so no int32 counter overflows, and calls
+/// emit(block, count) for each block of each run in first-sighting
+/// order. Added into a FlatSlice, the emissions give one tally's
+/// entries, values and order: a block seen before sums into its entry.
+template <typename Lists, typename BlockOf, typename Emit>
+void tally_runs(BlockTally& tally, BlockId num_blocks, const Lists& lists,
+                std::size_t sightings, BlockOf block_of, Emit emit,
+                std::size_t cap = INT32_MAX) {
+  assert(cap > 0 && cap <= INT32_MAX);
+  const auto flush = [&] {
+    for (std::size_t i = 0; i < tally.size(); ++i) {
+      emit(tally.block(i), tally.count(tally.block(i)));
+    }
+  };
+  std::size_t room = cap;  // sightings the current run can still take
+  tally.begin(num_blocks, std::min(sightings, cap));
+  for (std::span<const graph::Vertex> list : lists) {
+    sightings -= list.size();  // left after this list
+    while (list.size() > room) {
+      tally.add(list.first(room), -1, block_of);
+      list = list.subspan(room);
+      flush();
+      tally.begin(num_blocks, std::min(list.size() + sightings, cap));
+      room = cap;
+    }
+    tally.add(list, -1, block_of);
+    room -= list.size();
+  }
+  flush();
+}
 
 }  // namespace hsbp::blockmodel

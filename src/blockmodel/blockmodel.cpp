@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <ranges>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,25 +22,7 @@ using graph::Vertex;
 Blockmodel Blockmodel::from_assignment(const GraphView& graph,
                                        std::span<const std::int32_t> assignment,
                                        BlockId num_blocks) {
-  if (assignment.size() != static_cast<std::size_t>(graph.num_vertices())) {
-    throw std::invalid_argument("Blockmodel: assignment size " +
-                                std::to_string(assignment.size()) +
-                                " != vertex count " +
-                                std::to_string(graph.num_vertices()));
-  }
-  for (const std::int32_t label : assignment) {
-    if (label < 0 || label >= num_blocks) {
-      throw std::invalid_argument("Blockmodel: label " +
-                                  std::to_string(label) +
-                                  " outside [0, " +
-                                  std::to_string(num_blocks) + ")");
-    }
-  }
-  Blockmodel b;
-  b.num_blocks_ = num_blocks;
-  b.assignment_.assign(assignment.begin(), assignment.end());
-  b.build_from(graph);
-  return b;
+  return from_assignment_chunked(graph, assignment, num_blocks, 0, {});
 }
 
 Blockmodel Blockmodel::from_assignment_chunked(
@@ -62,7 +46,7 @@ Blockmodel Blockmodel::from_assignment_chunked(
   Blockmodel b;
   b.num_blocks_ = num_blocks;
   b.assignment_.assign(assignment.begin(), assignment.end());
-  b.build_from(graph, chunk_vertices, &release);
+  b.build_from(graph, chunk_vertices, release);
   return b;
 }
 
@@ -75,12 +59,8 @@ Blockmodel Blockmodel::identity(const GraphView& graph) {
   return from_assignment(graph, assignment, graph.num_vertices());
 }
 
-void Blockmodel::build_from(const GraphView& graph) {
-  build_from(graph, 0, nullptr);
-}
-
 void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
-                            const std::function<void()>* release) {
+                            const std::function<void()>& release) {
   const auto blocks = static_cast<std::size_t>(num_blocks_);
   m_ = DictTransposeMatrix(num_blocks_);
   d_out_.assign(blocks, 0);
@@ -139,6 +119,12 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
     BlockTally& tally =
         parts[static_cast<std::size_t>(omp_get_thread_num())].tally;
     const std::int32_t* const labels = assignment_.data();
+    const auto label_of = [labels](Vertex u) {
+      return labels[static_cast<std::size_t>(u)];
+    };
+    const auto out_neighbors = [&graph](Vertex v) {
+      return graph.out_neighbors(v);
+    };
     const auto member = [&members](std::int64_t i) {
       return members[static_cast<std::size_t>(i)];
     };
@@ -151,17 +137,16 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
         sightings += graph.out_degree(member(next[row]));
       }
       if (next[row] == from) continue;
-      tally.begin(num_blocks_, static_cast<std::size_t>(sightings));
-      for (std::int64_t i = from; i < next[row]; ++i) {
-        tally.add(graph.out_neighbors(member(i)), -1, [labels](Vertex u) {
-          return labels[static_cast<std::size_t>(u)];
-        });
-      }
+      const std::span<const Vertex> taken(
+          members.data() + from, static_cast<std::size_t>(next[row] - from));
       FlatSlice& slice = m_.bulk_row(r);
-      for (std::size_t i = 0; i < tally.size(); ++i) {
-        const BlockId col = tally.block(i);
-        slice.add(col, tally.count(col));
-      }
+      // Runs of at most INT32_MAX sightings keep the tally's counters
+      // from overflowing on a row of more out-edges; they add up to the
+      // single tally's entries, in its order.
+      tally_runs(tally, num_blocks_,
+                 taken | std::views::transform(out_neighbors),
+                 static_cast<std::size_t>(sightings), label_of,
+                 [&slice](BlockId col, std::int32_t n) { slice.add(col, n); });
       d_out_[row] += sightings;
     }
   };
@@ -188,14 +173,14 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   // between ranges to drop mapped CSR pages, so peak residency stays near
   // one chunk; the ranges run in ascending order, so the rows come out
   // the same. Every other build fills its rows in one range.
-  const std::int64_t chunk = release != nullptr && chunk_vertices > 0
+  const std::int64_t chunk = release && chunk_vertices > 0
                                  ? chunk_vertices
                                  : std::max<std::int64_t>(v_count, 1);
   for (std::int64_t begin = 0; begin < v_count; begin += chunk) {
     const auto end =
         static_cast<Vertex>(std::min<std::int64_t>(begin + chunk, v_count));
     util::omp_region([&] { fill_rows(end); });
-    if (release != nullptr) (*release)();
+    if (release) release();
   }
   util::omp_region(fill_cols);  // every row is final here
 

@@ -49,7 +49,8 @@ class Blockmodel {
   /// ranges with `release` invoked between ranges (pointed at
   /// MmapGraph::evict it caps how much of a mapped CSR stays resident).
   /// The ranges run in ascending order, so the result equals
-  /// from_assignment exactly, slice entry order included.
+  /// from_assignment exactly, slice entry order included. An empty
+  /// `release` builds in one range.
   static Blockmodel from_assignment_chunked(
       const graph::GraphView& graph,
       std::span<const std::int32_t> assignment, BlockId num_blocks,
@@ -106,10 +107,11 @@ class Blockmodel {
   bool check_consistency(const graph::GraphView& graph) const;
 
  private:
-  void build_from(const graph::GraphView& graph);
+  /// Fills every member but assignment_ and num_blocks_ from them;
+  /// `release` (if set) runs after each `chunk_vertices` range.
   void build_from(const graph::GraphView& graph,
-                  graph::Vertex chunk_vertices,
-                  const std::function<void()>* release);
+                  graph::Vertex chunk_vertices = 0,
+                  const std::function<void()>& release = {});
 
   /// m_.add(row, col, +1) returning the canonical quantized change to
   /// Σ xlogx(M_rs) — a single step-table lookup. Callers accumulate the

@@ -5,16 +5,22 @@
 /// and every row and column slice must come out in the order the
 /// per-edge scan gives, whole or chunked, at 1 and at 4 threads (the
 /// 4-thread cases carry the `async` label, so check_tier1.sh runs them
-/// under TSan). MoveScratchReuse drives one MoveScratch through
+/// under TSan). TallyRuns checks that a row tally split into runs, as
+/// the build does past INT32_MAX sightings, adds up to the same slice.
+/// MoveScratchReuse drives one MoveScratch through
 /// gathers at different block counts, with block_merge_phase's refill
 /// of `nb` in between, and checks every gather against the reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <ranges>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "blockmodel/block_tally.hpp"
 #include "blockmodel/blockmodel.hpp"
 #include "blockmodel/vertex_move_delta.hpp"
 #include "generator/dcsbm.hpp"
@@ -141,6 +147,76 @@ TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
 INSTANTIATE_TEST_SUITE_P(CasesByThreads, BuildSliceOrder,
                          ::testing::Combine(::testing::Values(0, 1, 2, 3),
                                             ::testing::Values(1, 4)));
+
+/// tally_runs at any cap, its emissions summed into a FlatSlice as the
+/// build sums them, must give one tally's blocks, counts and order.
+TEST(TallyRuns, RunsAddUpToOneTallyAtAnyCap) {
+  constexpr BlockId kBlocks = 12;
+  util::Rng rng(61);
+  std::vector<std::int32_t> labels(60);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(kBlocks)));
+  }
+  const auto label_of = [&labels](Vertex u) {
+    return labels[static_cast<std::size_t>(u)];
+  };
+  // Empty lists, and lists longer than most caps below.
+  std::vector<std::vector<Vertex>> lists;
+  std::size_t total = 0;
+  for (const std::size_t length : {5, 0, 1, 23, 0, 2, 9, 40, 3}) {
+    auto& list = lists.emplace_back(length);
+    for (auto& u : list) u = static_cast<Vertex>(rng.uniform_int(60));
+    total += length;
+  }
+  const auto spans =
+      lists | std::views::transform([](const std::vector<Vertex>& list) {
+        return std::span<const Vertex>(list);
+      });
+
+  // One pass in first-sighting order, with int64 counts.
+  std::vector<std::pair<BlockId, Count>> want;
+  for (const auto& list : lists) {
+    for (const Vertex u : list) {
+      const auto seen = std::find_if(
+          want.begin(), want.end(),
+          [&](const auto& entry) { return entry.first == label_of(u); });
+      if (seen == want.end()) {
+        want.emplace_back(label_of(u), 1);
+      } else {
+        ++seen->second;
+      }
+    }
+  }
+
+  BlockTally tally;
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{7},
+                                std::size_t{40}, total - 1, total,
+                                std::size_t{INT32_MAX}}) {
+    FlatSlice slice;
+    std::size_t emissions = 0;
+    tally_runs(
+        tally, kBlocks, spans, total, label_of,
+        [&](BlockId block, std::int32_t n) {
+          EXPECT_GE(n, 1) << "cap " << cap;
+          EXPECT_LE(static_cast<std::size_t>(n), cap) << "cap " << cap;
+          slice.add(block, n);
+          ++emissions;
+        },
+        cap);
+    const auto got = slice.entries();
+    ASSERT_EQ(got.size(), want.size()) << "cap " << cap;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].first) << "cap " << cap << " entry " << i;
+      EXPECT_EQ(got[i].value, want[i].second) << "cap " << cap << " entry " << i;
+    }
+    // Each run emits at least one block; a single run emits each once.
+    EXPECT_GE(emissions, (total + cap - 1) / cap) << "cap " << cap;
+    if (cap == 1) EXPECT_EQ(emissions, total);
+    if (cap >= total) EXPECT_EQ(emissions, want.size()) << "cap " << cap;
+  }
+}
 
 /// A 200-vertex graph with the shapes a gather must get right: vertex 0
 /// a hub (out-degree 80, in-degree 40, repeated neighbors), vertex 1
