@@ -13,8 +13,9 @@ using util::DataError;
 namespace {
 
 constexpr char kMagic[8] = {'H', 'S', 'B', 'P', 'C', 'K', 'P', 'T'};
+// Byte values are part of the format: 2 was the retired
+// sample-pipeline kind and is never reused.
 constexpr std::uint8_t kKindSbp = 1;
-constexpr std::uint8_t kKindSample = 2;
 constexpr std::uint8_t kKindServe = 3;
 
 // ------------------------------------------------- little-endian codec
@@ -141,11 +142,7 @@ std::string seal(std::uint8_t kind, const std::string& payload) {
 }
 
 const char* kind_name(std::uint8_t kind) {
-  switch (kind) {
-    case kKindSbp: return "sbp-run";
-    case kKindSample: return "sample-pipeline";
-    default: return "serve-snapshot";
-  }
+  return kind == kKindSbp ? "sbp-run" : "serve-snapshot";
 }
 
 /// Verifies the envelope and returns the payload bytes.
@@ -169,7 +166,7 @@ std::string open_envelope(const std::string& path, std::uint8_t want_kind) {
                     std::to_string(kFormatVersion));
   }
   const std::uint8_t kind = head.u8();
-  if (kind != kKindSbp && kind != kKindSample && kind != kKindServe) {
+  if (kind != kKindSbp && kind != kKindServe) {
     throw DataError("checkpoint '" + path + "' has unknown kind " +
                     std::to_string(kind));
   }
@@ -340,67 +337,6 @@ SbpCheckpoint load_sbp_checkpoint(const std::string& path) {
   ckpt.search.upper = read_snapshot(r);
   ckpt.search.mid = read_snapshot(r);
   ckpt.search.lower = read_snapshot(r);
-  r.expect_end();
-  return ckpt;
-}
-
-// ----------------------------------------------------- sample-pipeline
-
-void save_sample_checkpoint(const std::string& path,
-                            const SampleCheckpoint& ckpt,
-                            FaultInjector* fault) {
-  ByteWriter w;
-  write_fingerprint(w, ckpt.graph);
-  w.u32(ckpt.variant);
-  w.u64(ckpt.seed);
-  w.u32(ckpt.sampler);
-  w.f64(ckpt.fraction);
-  w.u8(static_cast<std::uint8_t>(ckpt.stage));
-
-  w.i32_vector(ckpt.sample_assignment);
-  w.i32(ckpt.sample_num_blocks);
-  w.f64(ckpt.sample_mdl);
-
-  if (ckpt.stage >= SampleStage::ExtrapolateDone) {
-    w.i32_vector(ckpt.full_assignment);
-    w.i32(ckpt.full_num_blocks);
-    w.f64(ckpt.full_mdl);
-    w.i64(ckpt.frontier_assigned);
-    w.i64(ckpt.isolated_assigned);
-  }
-
-  atomic_write_file(path, seal(kKindSample, w.str()), fault);
-}
-
-SampleCheckpoint load_sample_checkpoint(const std::string& path) {
-  // The payload must outlive the reader (ByteReader is a view).
-  const std::string payload = open_envelope(path, kKindSample);
-  ByteReader r(payload);
-  SampleCheckpoint ckpt;
-  ckpt.graph = read_fingerprint(r);
-  ckpt.variant = r.u32();
-  ckpt.seed = r.u64();
-  ckpt.sampler = r.u32();
-  ckpt.fraction = r.f64();
-  const std::uint8_t stage = r.u8();
-  if (stage != static_cast<std::uint8_t>(SampleStage::PartitionDone) &&
-      stage != static_cast<std::uint8_t>(SampleStage::ExtrapolateDone)) {
-    throw DataError("checkpoint '" + path + "' has unknown pipeline stage " +
-                    std::to_string(stage));
-  }
-  ckpt.stage = static_cast<SampleStage>(stage);
-
-  ckpt.sample_assignment = r.i32_vector();
-  ckpt.sample_num_blocks = r.i32();
-  ckpt.sample_mdl = r.f64();
-
-  if (ckpt.stage >= SampleStage::ExtrapolateDone) {
-    ckpt.full_assignment = r.i32_vector();
-    ckpt.full_num_blocks = r.i32();
-    ckpt.full_mdl = r.f64();
-    ckpt.frontier_assigned = r.i64();
-    ckpt.isolated_assigned = r.i64();
-  }
   r.expect_end();
   return ckpt;
 }

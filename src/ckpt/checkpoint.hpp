@@ -1,12 +1,12 @@
 /// \file checkpoint.hpp
 /// \brief Versioned, CRC-checksummed snapshot format for long runs.
 ///
-/// One envelope, three payload kinds:
+/// One envelope, two payload kinds:
 ///
 ///   ┌──────────────────────────────────────────────────────────┐
 ///   │ magic "HSBPCKPT" (8)                                     │
 ///   │ u32 format version · u8 kind                             │
-///   │   (1=sbp-run, 2=sample-pipe, 3=serve-snapshot)           │
+///   │   (1=sbp-run, 3=serve-snapshot)                          │
 ///   │ u64 payload size · payload bytes                         │
 ///   │ u32 CRC-32 over everything between magic and this field  │
 ///   └──────────────────────────────────────────────────────────┘
@@ -16,7 +16,8 @@
 /// CRC, then parse with a bounds-checked reader — a corrupt,
 /// truncated, or version-mismatched file is always a util::DataError
 /// with a message saying which check failed, never a crash or silent
-/// garbage.
+/// garbage. Kind byte 2 (a retired sample-pipeline payload) is read as
+/// an unknown kind.
 ///
 /// The sbp-run payload captures the complete outer-loop state: the
 /// golden-ratio bracket's three partitions with their MDLs and block
@@ -24,12 +25,9 @@
 /// xoshiro256** state, and a graph fingerprint (V, E, degree-sequence
 /// hash) plus the (variant, seed) pair, so resuming against the wrong
 /// graph or configuration fails loudly instead of continuing a
-/// different chain.
-///
-/// The sample-pipeline payload records which SamBaS stage last
-/// completed (partition or extrapolate) with that stage's outputs; the
-/// cheap deterministic stages (sampling, fine-tune) are replayed on
-/// resume rather than stored.
+/// different chain. It is also the SamBaS pipeline's only durable
+/// state: sample::run checkpoints its subgraph fit and replays the
+/// seed-deterministic stages around it.
 ///
 /// The serve-snapshot payload is a published snapshot of the serving
 /// daemon (`hsbp serve`): the full edge list of the graph as served —
@@ -93,42 +91,6 @@ void save_sbp_checkpoint(const std::string& path, const SbpCheckpoint& ckpt,
 
 /// \throws util::IoError if unreadable, util::DataError if invalid.
 SbpCheckpoint load_sbp_checkpoint(const std::string& path);
-
-// ----------------------------------------------------- sample-pipeline
-
-/// Stage markers for SampleCheckpoint (numbered as in the SamBaS
-/// pipeline; stages 1/sample and 4/fine-tune are replayed, not stored).
-enum class SampleStage : std::uint8_t {
-  PartitionDone = 2,    ///< subgraph fit finished
-  ExtrapolateDone = 3,  ///< full-graph membership available
-};
-
-struct SampleCheckpoint {
-  GraphFingerprint graph;
-  std::uint32_t variant = 0;
-  std::uint64_t seed = 0;
-  std::uint32_t sampler = 0;  ///< static_cast of sample::SamplerKind
-  double fraction = 0.0;
-  SampleStage stage = SampleStage::PartitionDone;
-
-  // Stage ≥ PartitionDone: the subgraph fit.
-  std::vector<std::int32_t> sample_assignment;
-  std::int32_t sample_num_blocks = 0;
-  double sample_mdl = 0.0;
-
-  // Stage ≥ ExtrapolateDone: the full-graph membership.
-  std::vector<std::int32_t> full_assignment;
-  std::int32_t full_num_blocks = 0;
-  double full_mdl = 0.0;
-  std::int64_t frontier_assigned = 0;
-  std::int64_t isolated_assigned = 0;
-};
-
-void save_sample_checkpoint(const std::string& path,
-                            const SampleCheckpoint& ckpt,
-                            FaultInjector* fault = nullptr);
-
-SampleCheckpoint load_sample_checkpoint(const std::string& path);
 
 // ------------------------------------------------------ serve-snapshot
 

@@ -17,9 +17,9 @@ struct CheckpointConfig {
   /// either the previous or the new checkpoint, never a torn one.
   std::string save_path;
 
-  /// Write a snapshot after every N outer phases (sbp) in addition to
-  /// the unconditional snapshots at completion, shutdown, and pipeline
-  /// stage boundaries. Values < 1 mean "only the unconditional ones".
+  /// Write a snapshot after every N outer phases in addition to the
+  /// unconditional snapshots at completion and shutdown. Values < 1
+  /// mean "only the unconditional ones".
   int every_phases = 1;
 
   /// Load state from this file before starting; empty means cold

@@ -14,13 +14,12 @@
 ///                           place (a torn write: rename was durable,
 ///                           data was not); the loader must reject it.
 ///   kill_at_phase(n)      — SimulatedKill is thrown from the nth
-///                           phase/stage boundary, after that boundary's
+///                           phase boundary, after that boundary's
 ///                           checkpoint was written — the moral
 ///                           equivalent of `kill -9` between phases.
 ///
-/// Counters are 1-based and monotonically increasing across one run (or
-/// across a pipeline and its nested sbp::run, which share the injector),
-/// so "the nth write" is well-defined and reproducible.
+/// Counters are 1-based and monotonically increasing across one run, so
+/// "the nth write" is well-defined and reproducible.
 ///
 /// The serving daemon (src/serve/) extends the same object with
 /// *network* faults, injected at the frame-I/O seam (serve/protocol
@@ -79,8 +78,8 @@ class FaultInjector {
   enum class WriteFault { None, Fail, Truncate };
   WriteFault on_write(std::size_t* truncate_bytes) noexcept;
 
-  /// Called by the drivers after each outer phase (sbp) or pipeline
-  /// stage (sample), after that boundary's checkpoint was written.
+  /// Called by sbp::run after each outer phase, after that boundary's
+  /// checkpoint was written.
   /// \throws SimulatedKill when the armed boundary is reached.
   void on_phase_boundary();
 

@@ -77,7 +77,7 @@ struct SamplePipelineResult {
   sbp::McmcPhaseStats finetune;         ///< stage-4 counters
   /// True when a graceful shutdown cut the pipeline short; `assignment`
   /// is still a full-graph partition (extrapolated from the best
-  /// sample fit so far) and the on-disk checkpoint is resumable.
+  /// sample fit so far) and the fit's on-disk snapshot is resumable.
   bool interrupted = false;
 };
 
@@ -95,13 +95,16 @@ sbp::SbpResult partition_sample(const graph::Graph& subgraph,
 SamplePipelineResult run(const graph::Graph& graph,
                          const SampleConfig& config);
 
-/// Same, with durability: the pipeline checkpoints between its stages —
-/// the expensive subgraph fit checkpoints its own outer loop to
-/// `save_path + ".stage2"`, and completed stages persist their outputs
-/// to `save_path` — so a late-stage failure no longer throws away the
-/// earlier stages. The cheap deterministic stages (sampling, fine-tune)
-/// are replayed on resume rather than stored; a killed-and-resumed
-/// seeded pipeline reproduces the uninterrupted result exactly.
+/// Same, with durability: `checkpoint` goes straight to the stage-2
+/// subgraph fit, whose sbp-run snapshot is the pipeline's only durable
+/// state. Sampling, extrapolation and fine-tune depend only on the
+/// seed, so a resume replays them around the restored fit; a
+/// killed-and-resumed seeded pipeline reproduces the uninterrupted
+/// result exactly. A resume is accepted exactly when that replay is
+/// valid: the replayed subgraph's fingerprint, the variant, the seed
+/// and the RNG stream count (`--threads`) must match the snapshot. A
+/// sample with no edges has no fit to store, so nothing is written and
+/// a resume replays it.
 /// \throws util::IoError / util::DataError as sbp::run's checkpointing
 /// overload does.
 SamplePipelineResult run(const graph::Graph& graph,

@@ -434,12 +434,4 @@ IoStatus write_frame(int fd, std::string_view payload, int deadline_ms,
   return write_exact(fd, payload.data(), size, ctx, chunk);
 }
 
-bool write_frame(int fd, std::string_view payload) noexcept {
-  return write_frame(fd, payload, /*deadline_ms=*/-1) == IoStatus::Ok;
-}
-
-bool read_frame(int fd, std::string& payload) noexcept {
-  return read_frame(fd, payload, FrameDeadline{}) == IoStatus::Ok;
-}
-
 }  // namespace hsbp::serve

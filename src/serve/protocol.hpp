@@ -176,13 +176,4 @@ IoStatus write_frame(int fd, std::string_view payload, int deadline_ms,
                      const std::atomic<bool>* cancel = nullptr,
                      ckpt::FaultInjector* fault = nullptr) noexcept;
 
-/// Unbounded write (legacy shape). Returns false on EOF/error.
-bool write_frame(int fd, std::string_view payload) noexcept;
-
-/// Unbounded read (legacy shape). Returns false on a clean EOF before
-/// any byte, a torn frame, or an oversized length prefix. Blocks until
-/// a full frame arrives (callers poll() first when they need
-/// cancellation).
-bool read_frame(int fd, std::string& payload) noexcept;
-
 }  // namespace hsbp::serve

@@ -7,7 +7,6 @@
 #include "ckpt/shutdown.hpp"
 #include "sbp/streaming.hpp"
 #include "util/logger.hpp"
-#include "util/timer.hpp"
 
 namespace hsbp::serve {
 
@@ -89,8 +88,6 @@ bool RefitScheduler::refit_store(GraphStore& store) {
   if (batches.empty()) return false;
   const std::shared_ptr<const Snapshot> previous = store.acquire();
 
-  util::Timer timer;
-
   // Grow the vertex set to cover every ingested endpoint, then rebuild
   // the CSR once over old + new edges (Graph is immutable by design;
   // the rebuild is O(E) — the savings live in the warm re-fit, which
@@ -119,7 +116,6 @@ bool RefitScheduler::refit_store(GraphStore& store) {
   persist_snapshot(config_.checkpoint_dir, store.name(), *next,
                    config_.fault);
   store.publish(std::move(next));
-  store.count_refit(timer.elapsed());
 
   HSBP_LOG_DEBUG("serve: refit '%s' epoch %llu blocks %d mdl %.2f%s",
                  store.name().c_str(),

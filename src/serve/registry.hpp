@@ -68,19 +68,12 @@ class GraphStore {
     snapshot_ = std::move(next);
   }
 
-  /// Queues an edge batch for the refit scheduler. Returns the number
-  /// of batches now pending.
-  std::size_t enqueue(std::vector<graph::Edge> batch) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.push_back(std::move(batch));
-    return pending_.size();
-  }
-
-  /// Bounded enqueue: refuses the batch when `max_pending` batches are
-  /// already queued (so 0 refuses everything — a read-only mode).
-  /// Returns the pending count after the append, or nullopt when the
-  /// batch was refused. The check-and-append is one critical section —
-  /// two racing INGESTs cannot both slip past the bound.
+  /// Queues an edge batch for the refit scheduler, refusing it when
+  /// `max_pending` batches are already queued (so 0 refuses everything
+  /// — a read-only mode). Returns the pending count after the append,
+  /// or nullopt when the batch was refused. The check-and-append is one
+  /// critical section — two racing INGESTs cannot both slip past the
+  /// bound.
   std::optional<std::size_t> try_enqueue(std::vector<graph::Edge> batch,
                                          std::size_t max_pending) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -100,38 +93,11 @@ class GraphStore {
     return pending_.size();
   }
 
-  // Monotonic counters (under the same mutex; incremented by the
-  // server/scheduler, read by STATS).
-  void count_query() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++queries_;
-  }
-  void count_refit(double seconds) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++refits_;
-    refit_seconds_ += seconds;
-  }
-  std::uint64_t queries() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queries_;
-  }
-  std::uint64_t refits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return refits_;
-  }
-  double refit_seconds() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return refit_seconds_;
-  }
-
  private:
   const std::string name_;
   mutable std::mutex mutex_;
   std::shared_ptr<const Snapshot> snapshot_;
   std::vector<std::vector<graph::Edge>> pending_;
-  std::uint64_t queries_ = 0;
-  std::uint64_t refits_ = 0;
-  double refit_seconds_ = 0.0;
 };
 
 /// The daemon's graph table. Stores are registered before the server

@@ -189,10 +189,6 @@ void Server::stop() {
     }
     session_threads_.clear();
   }
-  // Belt-and-braces reap: with the vector cleared above this is a
-  // no-op, but keeping it here pins the contract that stop() leaves no
-  // session thread behind even if the join loop ever changes shape.
-  reap_finished_sessions();
   // The scheduler drains pending batches before exiting (publishing
   // and persisting each), so acknowledged INGESTs survive the drain.
   scheduler_->stop_and_join();
@@ -419,7 +415,6 @@ std::string Server::handle(const std::string& payload) {
   // Pure queries: everything below reads one acquired snapshot and
   // never touches shared state again — the isolation contract.
   const std::shared_ptr<const Snapshot> snapshot = store->acquire();
-  store->count_query();
   switch (request.verb) {
     case Verb::Info:
       return ok_reply(

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/atomic_file.hpp"
@@ -93,38 +94,6 @@ TEST(CheckpointFormat, SbpRoundTrip) {
   fs::remove(path);
 }
 
-TEST(CheckpointFormat, SampleRoundTrip) {
-  const auto g = triangle_graph();
-  const std::string path = temp_path("sample_roundtrip.ckpt");
-  SampleCheckpoint saved;
-  saved.graph = fingerprint(g);
-  saved.variant = 1;
-  saved.seed = 7;
-  saved.sampler = 3;
-  saved.fraction = 0.4;
-  saved.stage = SampleStage::ExtrapolateDone;
-  saved.sample_assignment = {0, 1};
-  saved.sample_num_blocks = 2;
-  saved.sample_mdl = 10.0;
-  saved.full_assignment = {0, 1, 1, 0};
-  saved.full_num_blocks = 2;
-  saved.full_mdl = 25.5;
-  saved.frontier_assigned = 1;
-  saved.isolated_assigned = 1;
-  save_sample_checkpoint(path, saved);
-
-  const auto loaded = load_sample_checkpoint(path);
-  EXPECT_EQ(loaded.graph, saved.graph);
-  EXPECT_EQ(loaded.sampler, saved.sampler);
-  EXPECT_DOUBLE_EQ(loaded.fraction, saved.fraction);
-  EXPECT_EQ(loaded.stage, SampleStage::ExtrapolateDone);
-  EXPECT_EQ(loaded.sample_assignment, saved.sample_assignment);
-  EXPECT_EQ(loaded.full_assignment, saved.full_assignment);
-  EXPECT_EQ(loaded.frontier_assigned, saved.frontier_assigned);
-  EXPECT_EQ(loaded.isolated_assigned, saved.isolated_assigned);
-  fs::remove(path);
-}
-
 TEST(CheckpointFormat, CorruptPayloadFailsCrc) {
   const auto g = triangle_graph();
   const std::string path = temp_path("corrupt.ckpt");
@@ -179,8 +148,50 @@ TEST(CheckpointFormat, WrongKindRejected) {
   const auto g = triangle_graph();
   const std::string path = temp_path("kind.ckpt");
   save_sbp_checkpoint(path, make_sbp_checkpoint(g));
-  // A sample-pipeline loader must refuse an sbp-run snapshot.
-  expect_rejected([&] { load_sample_checkpoint(path); }, "expected");
+  // A serve-snapshot loader must refuse an sbp-run snapshot.
+  expect_rejected([&] { load_serve_checkpoint(path); },
+                  "holds a sbp-run snapshot, expected serve-snapshot");
+  fs::remove(path);
+}
+
+TEST(CheckpointFormat, KindBytesArePinned) {
+  // The kind is byte 12, after the 8-byte magic and the u32 version.
+  // Files written by earlier builds must keep loading, so the values
+  // never move.
+  const auto g = triangle_graph();
+  const std::string sbp_path = temp_path("kind_sbp.ckpt");
+  save_sbp_checkpoint(sbp_path, make_sbp_checkpoint(g));
+  std::string bytes = read_file(sbp_path);
+  EXPECT_EQ(bytes[12], 1);
+
+  const std::string serve_path = temp_path("kind_serve.ckpt");
+  ServeCheckpoint serve;
+  serve.graph = fingerprint(g);
+  serve.epoch = 3;
+  serve.num_vertices = g.num_vertices();
+  serve.edges = g.edges();
+  serve.assignment = {0, 0, 0, 1};
+  serve.num_blocks = 2;
+  serve.mdl = 12.5;
+  save_serve_checkpoint(serve_path, serve);
+  EXPECT_EQ(read_file(serve_path)[12], 3);
+  EXPECT_EQ(load_serve_checkpoint(serve_path).epoch, 3u);
+
+  // Kind 2 was the retired sample-pipeline payload: behind a valid CRC
+  // it is still an unknown kind to every loader.
+  bytes[12] = 2;
+  const std::size_t crc_at = bytes.size() - 4;
+  const std::uint32_t crc =
+      crc32(std::string_view(bytes).substr(8, crc_at - 8));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
+  }
+  rewrite(sbp_path, bytes);
+  expect_rejected([&] { load_sbp_checkpoint(sbp_path); }, "unknown kind 2");
+  expect_rejected([&] { load_serve_checkpoint(sbp_path); },
+                  "unknown kind 2");
+  fs::remove(sbp_path);
+  fs::remove(serve_path);
 }
 
 TEST(CheckpointFormat, TrailingGarbageRejected) {

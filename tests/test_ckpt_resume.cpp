@@ -3,6 +3,7 @@
 // uninterrupted run's assignment and MDL exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -265,77 +266,113 @@ sample::SampleConfig sample_config(sbp::Variant variant) {
 
 void expect_identical_pipeline(const sample::SamplePipelineResult& resumed,
                                const sample::SamplePipelineResult& baseline,
-                               const char* tag) {
+                               const std::string& tag) {
   EXPECT_EQ(resumed.assignment, baseline.assignment) << tag;
   EXPECT_EQ(resumed.num_blocks, baseline.num_blocks) << tag;
-  EXPECT_EQ(resumed.mdl, baseline.mdl) << tag;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed.mdl),
+            std::bit_cast<std::uint64_t>(baseline.mdl))
+      << tag << ": mdl " << resumed.mdl << " vs " << baseline.mdl;
   EXPECT_EQ(resumed.frontier_assigned, baseline.frontier_assigned) << tag;
 }
 
+// The subgraph fit's sbp-run snapshot is the pipeline's only durable
+// state, so its phase boundaries are the pipeline's only kill points:
+// a kill at any of them must resume to the uninterrupted answer, the
+// last one included (a finished search, which the resume returns from
+// at once before replaying extrapolation and fine-tune).
+enum class KillPoints { InsideFit, AfterFit };
+
+void kill_pipeline_and_resume(sbp::Variant variant, KillPoints points,
+                              const std::string& file) {
+  const auto g = planted(7);
+  const std::string path = temp_path(file);
+  const auto config = sample_config(variant);
+  const auto baseline = sample::run(g.graph, config);
+
+  ckpt::FaultInjector probe;
+  ckpt::CheckpointConfig probe_ck;
+  probe_ck.fault = &probe;
+  sample::run(g.graph, config, probe_ck);
+  const int phases = probe.phases_seen();
+  ASSERT_GE(phases, 2);  // at least one boundary inside the fit
+
+  // Every boundary before the fit's last, or the last one only.
+  const int first = points == KillPoints::InsideFit ? 1 : phases;
+  const int last = points == KillPoints::InsideFit ? phases - 1 : phases;
+  for (int kill_at = first; kill_at <= last; ++kill_at) {
+    const std::string tag = std::string(sbp::variant_name(variant)) +
+                            " kill at " + std::to_string(kill_at) + " of " +
+                            std::to_string(phases);
+    fs::remove(path);
+    ckpt::FaultInjector fault;
+    fault.kill_at_phase(kill_at);
+    ckpt::CheckpointConfig ck;
+    ck.save_path = path;
+    ck.fault = &fault;
+    EXPECT_THROW(sample::run(g.graph, config, ck), ckpt::SimulatedKill)
+        << tag;
+    ASSERT_TRUE(fs::exists(path)) << tag;
+
+    // This resume only reads: a snapshot write never feeds back into
+    // the chain, and the fsyncs are nearly all of this test's time.
+    // It must continue from the kill, not start the fit over.
+    ckpt::FaultInjector counter;
+    ckpt::CheckpointConfig resume;
+    resume.resume_path = path;
+    resume.fault = &counter;
+    const auto resumed = sample::run(g.graph, config, resume);
+    EXPECT_FALSE(resumed.interrupted) << tag;
+    EXPECT_EQ(counter.phases_seen(), phases - kill_at) << tag;
+    expect_identical_pipeline(resumed, baseline, tag);
+  }
+  fs::remove(path);
+}
+
 TEST(SamplePipeline, KillDuringSubgraphFitResumes) {
+  kill_pipeline_and_resume(sbp::Variant::Hybrid, KillPoints::InsideFit,
+                           "sample_kill_fit.ckpt");
+}
+
+// The partition stage ends with the fit's last boundary.
+TEST(SamplePipeline, KillAfterPartitionStageResumes) {
+  for (const sbp::Variant variant :
+       {sbp::Variant::Hybrid, sbp::Variant::Metropolis}) {
+    kill_pipeline_and_resume(variant, KillPoints::AfterFit,
+                             "sample_kill_stage.ckpt");
+  }
+}
+
+TEST(SamplePipeline, GracefulShutdownResumesToSameAnswer) {
   const auto g = planted(7);
   const auto config = sample_config(sbp::Variant::Hybrid);
   const auto baseline = sample::run(g.graph, config);
 
-  // Boundaries: one per nested fit phase, then the partition-done and
-  // extrapolate-done stage boundaries.
-  ckpt::FaultInjector probe;
-  ckpt::CheckpointConfig probe_ck;
-  probe_ck.fault = &probe;
-  sample::run(g.graph, config, probe_ck);
-  const int phases = probe.phases_seen();
-  ASSERT_GE(phases, 4);  // at least two fit phases to kill between
-
-  const std::string path = temp_path("sample_kill_fit.ckpt");
-  ckpt::FaultInjector fault;
-  fault.kill_at_phase(2);  // inside the stage-2 subgraph fit
+  const std::string path = temp_path("sample_shutdown.ckpt");
+  fs::remove(path);
+  ckpt::clear_shutdown();
+  ckpt::request_shutdown();
   ckpt::CheckpointConfig ck;
   ck.save_path = path;
-  ck.fault = &fault;
-  EXPECT_THROW(sample::run(g.graph, config, ck), ckpt::SimulatedKill);
-  // Only the partial-fit checkpoint exists so far.
-  EXPECT_TRUE(fs::exists(path + ".stage2"));
-  EXPECT_FALSE(fs::exists(path));
+  const auto partial = sample::run(g.graph, config, ck);
+  ckpt::clear_shutdown();
 
+  EXPECT_TRUE(partial.interrupted);
+  // Cut at the fit's first boundary, and still a full-graph partition.
+  EXPECT_EQ(partial.sample_result.stats.outer_iterations, 1);
+  EXPECT_EQ(partial.assignment.size(),
+            static_cast<std::size_t>(g.graph.num_vertices()));
+  ASSERT_TRUE(fs::exists(path));
+
+  ckpt::FaultInjector counter;
   ckpt::CheckpointConfig resume;
   resume.save_path = path;
   resume.resume_path = path;
+  resume.fault = &counter;
   const auto resumed = sample::run(g.graph, config, resume);
   EXPECT_FALSE(resumed.interrupted);
-  expect_identical_pipeline(resumed, baseline, "kill-in-fit");
-  fs::remove(path);
-  fs::remove(path + ".stage2");
-}
-
-TEST(SamplePipeline, KillAfterPartitionStageResumes) {
-  const auto g = planted(7);
-  const auto config = sample_config(sbp::Variant::Metropolis);
-  const auto baseline = sample::run(g.graph, config);
-
-  ckpt::FaultInjector probe;
-  ckpt::CheckpointConfig probe_ck;
-  probe_ck.fault = &probe;
-  sample::run(g.graph, config, probe_ck);
-  const int phases = probe.phases_seen();
-  ASSERT_GE(phases, 3);
-
-  // phases - 1 is the partition-done stage boundary: the pipeline
-  // snapshot was written and the partial fit retired just before.
-  const std::string path = temp_path("sample_kill_stage.ckpt");
-  ckpt::FaultInjector fault;
-  fault.kill_at_phase(phases - 1);
-  ckpt::CheckpointConfig ck;
-  ck.save_path = path;
-  ck.fault = &fault;
-  EXPECT_THROW(sample::run(g.graph, config, ck), ckpt::SimulatedKill);
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".stage2"));
-
-  ckpt::CheckpointConfig resume;
-  resume.save_path = path;
-  resume.resume_path = path;
-  const auto resumed = sample::run(g.graph, config, resume);
-  expect_identical_pipeline(resumed, baseline, "kill-at-stage");
+  EXPECT_EQ(counter.phases_seen(),
+            baseline.sample_result.stats.outer_iterations - 1);
+  expect_identical_pipeline(resumed, baseline, "graceful shutdown");
   fs::remove(path);
 }
 
@@ -360,6 +397,37 @@ TEST(SamplePipeline, WrongSamplerConfigRejected) {
   ckpt::CheckpointConfig resume;
   resume.resume_path = path;
   EXPECT_THROW(sample::run(g.graph, config, resume), util::DataError);
+  fs::remove(path);
+}
+
+// The replay must continue the same chain: the fit's snapshot refuses
+// another variant or thread budget (the RNG stream count) on the same
+// sample, and another seed, which also draws another sample.
+TEST(SamplePipeline, WrongVariantSeedOrThreadsRejected) {
+  const auto g = planted(7);
+  const auto config = sample_config(sbp::Variant::Metropolis);
+  const std::string path = temp_path("sample_chain.ckpt");
+  ckpt::CheckpointConfig ck;
+  ck.save_path = path;
+  sample::run(g.graph, config, ck);
+
+  ckpt::CheckpointConfig resume;
+  resume.resume_path = path;
+  auto revariant = config;
+  revariant.base.variant = sbp::Variant::Hybrid;
+  EXPECT_THROW(sample::run(g.graph, revariant, resume), util::DataError);
+  auto reseeded = config;
+  reseeded.base.seed += 1;
+  EXPECT_THROW(sample::run(g.graph, reseeded, resume), util::DataError);
+  auto rethreaded = config;
+  rethreaded.base.num_threads = 2;
+  try {
+    sample::run(g.graph, rethreaded, resume);
+    FAIL() << "expected util::DataError";
+  } catch (const util::DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+        << e.what();
+  }
   fs::remove(path);
 }
 

@@ -120,7 +120,7 @@ TEST(ServeFaultReap, IdleSessionsAreReapedWithoutNewConnections) {
   // The courtesy goodbye: a cut session gets one `ERR timeout` frame
   // before the close (best-effort, but deterministic on loopback).
   std::string reply;
-  EXPECT_TRUE(read_frame(fds[0], reply));
+  EXPECT_EQ(read_frame(fds[0], reply, FrameDeadline{}), IoStatus::Ok);
   EXPECT_EQ(reply, "ERR timeout");
   for (const int fd : fds) ::close(fd);
   server.stop();

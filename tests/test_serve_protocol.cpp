@@ -138,24 +138,30 @@ class FramePair : public ::testing::Test {
   int fds_[2] = {-1, -1};
 };
 
+// Deadlines for frames that are already on (or off) the wire: a
+// regression fails the test instead of hanging it.
+constexpr FrameDeadline kPrompt{2000, 2000};
+constexpr int kPromptWriteMs = 2000;
+
 TEST_F(FramePair, RoundTripsPayloads) {
   for (const std::string payload :
        {std::string("PING"), std::string(""),
         std::string(1000, 'x') + " with spaces"}) {
-    ASSERT_TRUE(write_frame(fds_[0], payload));
+    ASSERT_EQ(write_frame(fds_[0], payload, kPromptWriteMs), IoStatus::Ok);
     std::string received;
-    ASSERT_TRUE(read_frame(fds_[1], received));
+    ASSERT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Ok);
     EXPECT_EQ(received, payload);
   }
 }
 
 TEST_F(FramePair, SequentialFramesStayDelimited) {
-  ASSERT_TRUE(write_frame(fds_[0], "first"));
-  ASSERT_TRUE(write_frame(fds_[0], "second frame"));
+  ASSERT_EQ(write_frame(fds_[0], "first", kPromptWriteMs), IoStatus::Ok);
+  ASSERT_EQ(write_frame(fds_[0], "second frame", kPromptWriteMs),
+            IoStatus::Ok);
   std::string received;
-  ASSERT_TRUE(read_frame(fds_[1], received));
+  ASSERT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Ok);
   EXPECT_EQ(received, "first");
-  ASSERT_TRUE(read_frame(fds_[1], received));
+  ASSERT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Ok);
   EXPECT_EQ(received, "second frame");
 }
 
@@ -163,7 +169,7 @@ TEST_F(FramePair, CleanEofReadsFalse) {
   ::close(fds_[0]);
   fds_[0] = -1;
   std::string received;
-  EXPECT_FALSE(read_frame(fds_[1], received));
+  EXPECT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Eof);
 }
 
 TEST_F(FramePair, TornFrameReadsFalse) {
@@ -174,7 +180,7 @@ TEST_F(FramePair, TornFrameReadsFalse) {
   ::close(fds_[0]);
   fds_[0] = -1;
   std::string received;
-  EXPECT_FALSE(read_frame(fds_[1], received));
+  EXPECT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Torn);
 }
 
 TEST_F(FramePair, OversizedLengthPrefixRejected) {
@@ -183,12 +189,12 @@ TEST_F(FramePair, OversizedLengthPrefixRejected) {
   const unsigned char prefix[4] = {0xff, 0xff, 0xff, 0xff};
   ASSERT_EQ(::write(fds_[0], prefix, 4), 4);
   std::string received;
-  EXPECT_FALSE(read_frame(fds_[1], received));
+  EXPECT_EQ(read_frame(fds_[1], received, kPrompt), IoStatus::Oversized);
 }
 
 TEST_F(FramePair, WriterRefusesOversizedPayload) {
   std::string big(kMaxFrameBytes + 1, 'x');
-  EXPECT_FALSE(write_frame(fds_[0], big));
+  EXPECT_EQ(write_frame(fds_[0], big, kPromptWriteMs), IoStatus::Oversized);
 }
 
 // ----------------------- fault-labelled frame-I/O edge paths ---------
@@ -388,7 +394,7 @@ TEST_F(ServeFaultFrameIo, InjectedDropWriteHangsUpBeforeAnyByte) {
 }
 
 TEST_F(ServeFaultFrameIo, InjectedDropReadKillsTheConnection) {
-  ASSERT_TRUE(write_frame(fds_[0], "PING"));
+  ASSERT_EQ(write_frame(fds_[0], "PING", kPromptWriteMs), IoStatus::Ok);
   ckpt::FaultInjector injector;
   injector.net_drop_read(1);
   std::string received;
@@ -401,7 +407,7 @@ TEST_F(ServeFaultFrameIo, InjectedDropReadKillsTheConnection) {
 // frame sitting in the buffer is never delivered — the deterministic
 // Timeout the daemon's reaper tests lean on.
 TEST_F(ServeFaultFrameIo, InjectedDelayLandsInTheTimeoutPath) {
-  ASSERT_TRUE(write_frame(fds_[0], "PING"));
+  ASSERT_EQ(write_frame(fds_[0], "PING", kPromptWriteMs), IoStatus::Ok);
   ckpt::FaultInjector injector;
   injector.net_delay_read(1, 200);
   std::string received;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -93,8 +94,9 @@ TEST(ServeGraphStore, SupersededSnapshotDiesWithItsLastReader) {
 TEST(ServeGraphStore, EnqueueDrainAndCounters) {
   GraphStore store("g");
   EXPECT_EQ(store.pending_batches(), 0u);
-  EXPECT_EQ(store.enqueue({{0, 1}, {1, 2}}), 1u);
-  EXPECT_EQ(store.enqueue({{2, 3}}), 2u);
+  EXPECT_EQ(store.try_enqueue({{0, 1}, {1, 2}}, 2), 1u);
+  EXPECT_EQ(store.try_enqueue({{2, 3}}, 2), 2u);
+  EXPECT_EQ(store.try_enqueue({{3, 4}}, 2), std::nullopt);  // at the bound
   EXPECT_EQ(store.pending_batches(), 2u);
 
   const auto drained = store.drain();
@@ -103,13 +105,6 @@ TEST(ServeGraphStore, EnqueueDrainAndCounters) {
   EXPECT_EQ(drained[1].size(), 1u);
   EXPECT_EQ(store.pending_batches(), 0u);
   EXPECT_TRUE(store.drain().empty());
-
-  store.count_query();
-  store.count_query();
-  store.count_refit(0.25);
-  EXPECT_EQ(store.queries(), 2u);
-  EXPECT_EQ(store.refits(), 1u);
-  EXPECT_DOUBLE_EQ(store.refit_seconds(), 0.25);
 }
 
 TEST(ServeRegistry, AddFindNamesAndDuplicates) {

@@ -45,9 +45,11 @@
 /// the run to FILE (atomically) every `--checkpoint-every N` outer
 /// phases and on SIGINT/SIGTERM, which finish the in-flight phase,
 /// checkpoint, and exit with the best-so-far partition. `--resume FILE`
-/// continues a saved run; the graph, algorithm, and seed must match the
-/// checkpoint exactly, and a resumed run reproduces the uninterrupted
-/// one bit-for-bit when `--threads` also matches.
+/// continues a saved run; the graph (for `sample`, the sampled
+/// subgraph, whose fit is what the file holds), algorithm, seed, and
+/// `--threads` must match the checkpoint exactly (else exit 65), and a
+/// resumed `--threads 1` run reproduces the uninterrupted one
+/// bit-for-bit.
 ///
 /// Exit codes (sysexits.h conventions, all diagnostics on stderr):
 ///    0  success (for `serve`: includes SIGINT/SIGTERM graceful drain)
