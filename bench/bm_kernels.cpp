@@ -7,10 +7,7 @@
 /// calls out rebuild cost and data-structure choice explicitly.
 #include <benchmark/benchmark.h>
 
-#include <omp.h>
-
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,7 +15,6 @@
 #include "blockmodel/mdl.hpp"
 #include "blockmodel/merge_delta.hpp"
 #include "blockmodel/vertex_move_delta.hpp"
-#include "blockmodel/xlogx_table.hpp"
 #include "generator/dcsbm.hpp"
 #include "sbp/async_pass.hpp"
 #include "sbp/hastings.hpp"
@@ -292,11 +288,12 @@ void BM_SerialMhPass(benchmark::State& state) {
 BENCHMARK(BM_SerialMhPass);
 
 void BM_RebuildBlockmodel(benchmark::State& state) {
-  auto f = Fixture(static_cast<Vertex>(state.range(0)), 16,
-                   static_cast<hsbp::graph::EdgeCount>(state.range(0)) * 10);
-  const auto assignment = f.blockmodel.copy_assignment();
+  const auto f = Fixture(static_cast<Vertex>(state.range(0)), 16,
+                         static_cast<hsbp::graph::EdgeCount>(state.range(0)) *
+                             10);
   for (auto _ : state) {
-    f.blockmodel.rebuild(f.generated.graph, assignment);
+    benchmark::DoNotOptimize(Blockmodel::from_assignment(
+        f.generated.graph, f.blockmodel.assignment(), 16));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 10);
 }
@@ -320,14 +317,9 @@ void BM_IdentityBlockmodel(benchmark::State& state) {
 }
 BENCHMARK(BM_IdentityBlockmodel);
 
-// ---- pass-overhead benches (DESIGN §11): what it costs to carry the
+// ---- pass-overhead bench (DESIGN §11): what it costs to carry the
 // blockmodel from pass N to pass N+1, as a function of how much the
-// pass moved. DeltaApply is the move-log path plus the now-O(1) MDL;
-// ShardedRebuild is the adaptive fallback (the full build + O(1) MDL;
-// the name predates the thread-owned row and column ranges, §11);
-// SerialMergeRebuild transcribes the previous per-pass overhead — the
-// serial unordered_map merge plus the O(nnz) floating-point MDL rescan
-// — so the before/after is measurable inside one tree. The Arg is the
+// pass moved: the move-log replay plus the O(1) MDL. The Arg is the
 // number of moved vertices per 1000 (permille of V).
 
 void BM_PassOverhead_DeltaApply(benchmark::State& state) {
@@ -356,83 +348,6 @@ void BM_PassOverhead_DeltaApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * std::max<Vertex>(moved, 1));
 }
 BENCHMARK(BM_PassOverhead_DeltaApply)->Arg(1)->Arg(10)->Arg(100)->Arg(300);
-
-void BM_PassOverhead_ShardedRebuild(benchmark::State& state) {
-  auto f = Fixture(2000, 16, 20000);  // private copy: rebuild mutates it
-  const auto assignment = f.blockmodel.copy_assignment();
-  for (auto _ : state) {
-    f.blockmodel.rebuild(f.generated.graph, assignment);
-    benchmark::DoNotOptimize(
-        hsbp::blockmodel::mdl(f.blockmodel, f.generated.graph.num_vertices(),
-                              f.generated.graph.num_edges()));
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_PassOverhead_ShardedRebuild);
-
-void BM_PassOverhead_SerialMergeRebuild(benchmark::State& state) {
-  auto& f = fixture();
-  const auto& graph = f.generated.graph;
-  const auto assignment = f.blockmodel.copy_assignment();
-  const Vertex v_count = graph.num_vertices();
-  const auto threads = static_cast<std::size_t>(omp_get_max_threads());
-  using hsbp::blockmodel::Count;
-  for (auto _ : state) {
-    // Previous build_from: per-thread (row<<32 | col) hash maps merged
-    // serially into the shared matrix, then serial degree sums.
-    std::vector<std::unordered_map<std::uint64_t, Count>> locals(threads);
-#pragma omp parallel
-    {
-      auto& local = locals[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(static)
-      for (Vertex v = 0; v < v_count; ++v) {
-        const auto src = static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-            assignment[static_cast<std::size_t>(v)]));
-        for (const Vertex target : graph.out_neighbors(v)) {
-          const auto dst = static_cast<std::uint64_t>(
-              static_cast<std::uint32_t>(
-                  assignment[static_cast<std::size_t>(target)]));
-          ++local[(src << 32) | dst];
-        }
-      }
-    }
-    hsbp::blockmodel::DictTransposeMatrix m(16);
-    for (const auto& local : locals) {
-      for (const auto& [key, count] : local) {
-        m.add(static_cast<BlockId>(key >> 32),
-              static_cast<BlockId>(key & 0xffffffffULL), count);
-      }
-    }
-    std::vector<Count> d_out(16, 0);
-    std::vector<Count> d_in(16, 0);
-    for (BlockId r = 0; r < 16; ++r) {
-      for (const auto& [col, count] : m.row(r)) {
-        (void)col;
-        d_out[static_cast<std::size_t>(r)] += count;
-      }
-      for (const auto& [row, count] : m.col(r)) {
-        (void)row;
-        d_in[static_cast<std::size_t>(r)] += count;
-      }
-    }
-    // Previous MDL: O(nnz) floating-point rescan of the whole matrix.
-    double cell_term = 0.0;
-    double degree_term = 0.0;
-    for (BlockId r = 0; r < 16; ++r) {
-      for (const auto& [col, count] : m.row(r)) {
-        (void)col;
-        cell_term += hsbp::blockmodel::xlogx_count(count);
-      }
-      degree_term +=
-          hsbp::blockmodel::xlogx_count(d_out[static_cast<std::size_t>(r)]);
-      degree_term +=
-          hsbp::blockmodel::xlogx_count(d_in[static_cast<std::size_t>(r)]);
-    }
-    benchmark::DoNotOptimize(cell_term - degree_term);
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_PassOverhead_SerialMergeRebuild);
 
 // ---- end-to-end MCMC phase: passes include the per-pass maintenance,
 // so this is where the delta-apply change shows up at the granularity

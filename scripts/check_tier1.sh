@@ -59,8 +59,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # (torn/oversized frames, injected disconnects, shed/reap paths).
 # Checkpoint and frame-I/O bugs are exactly the kind that only a
 # sanitizer catches (use-after-close, torn buffers). The same build
-# then runs the matrix, xlogx-table, kernel-equivalence, delta-apply,
-# build-order and scratch-reuse suites: the blockmodel's dense cell
+# then runs the matrix, xlogx-table, kernel-equivalence, pass-end
+# apply, build-order and scratch-reuse suites: the blockmodel's dense cell
 # mirror (DESIGN §10) is raw strided indexing into a C×C array, read by
 # every ΔMDL, Hastings and merge kernel, and the gather's and the
 # build's per-block tallies are raw int32 arrays indexed by block id
@@ -88,7 +88,7 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   "$FAULT_DIR/tests/test_blockmodel" \
     --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:TallyRuns.*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
-    --gtest_filter='*DeltaApplyBitIdentity*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*:ProposalExact.*:*EntryOrder*'
+    --gtest_filter='*DeltaApplyBitIdentity*:PassEndApply.*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*:ProposalExact.*:*EntryOrder*'
   "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'
   "$FAULT_DIR/tests/test_sample"
 fi

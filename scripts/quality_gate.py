@@ -33,8 +33,9 @@ nearly greedy, so chains with the Hastings correction dropped, with
 beta halved or with a proposal skewed toward early slice entries pass
 (DESIGN.md §7). It shows that fits stay where they were; the exact
 tests (ProposalExact, EntryOrder) show that the transition
-probabilities do. Exit status: 0 pass, 1 fail, 2 error (a run failed
-or gave no partition).
+probabilities do. Exit status: 0 pass, 1 fail, 2 error (a binary is
+not executable, the work directory cannot be made, or a run failed or
+gave no partition).
 """
 
 import argparse
@@ -193,12 +194,20 @@ def main():
     parser.add_argument("--jobs", type=int, default=2,
                         help="inputs run side by side")
     parser.add_argument("--workdir", default=None,
-                        help="where inputs are written (default: $TMPDIR)")
+                        help="where inputs are written, made if missing "
+                        "(default: $TMPDIR)")
     args = parser.parse_args()
     args.base = os.path.abspath(args.base)
     args.head = os.path.abspath(args.head)
+    for flag, path in (("--base", args.base), ("--head", args.head)):
+        if not (os.path.isfile(path) and os.access(path, os.X_OK)):
+            print("error: %s %s is not an executable file" % (flag, path),
+                  file=sys.stderr)
+            return 2
 
     try:
+        if args.workdir is not None:
+            os.makedirs(args.workdir, exist_ok=True)
         _, bins = perfbench.build(ROOT)
         verdicts = []
         with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
@@ -218,8 +227,8 @@ def main():
                           100 * verdict["mdl_ci"][1],
                           "pass" if verdict["passed"] else "FAIL"),
                       flush=True)
-    except (GateError, perfbench.BenchError,
-            subprocess.TimeoutExpired) as e:
+    except (GateError, perfbench.BenchError, subprocess.TimeoutExpired,
+            OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

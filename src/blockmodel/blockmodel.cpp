@@ -245,13 +245,6 @@ void Blockmodel::move_vertex(const GraphView& graph, Vertex v, BlockId to) {
   ++block_sizes_[static_cast<std::size_t>(to)];
 }
 
-void Blockmodel::rebuild(const GraphView& graph,
-                         std::span<const std::int32_t> assignment) {
-  assert(assignment.size() == static_cast<std::size_t>(graph.num_vertices()));
-  assignment_.assign(assignment.begin(), assignment.end());
-  build_from(graph);
-}
-
 bool Blockmodel::check_consistency(const GraphView& graph) const {
   if (!m_.check_consistency()) return false;
   Blockmodel fresh = from_assignment(graph, assignment_, num_blocks_);

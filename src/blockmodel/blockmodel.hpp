@@ -9,11 +9,11 @@
 /// Two update paths mirror the paper's algorithms:
 ///   - move_vertex(): in-place O(deg(v)) update, used by serial
 ///     Metropolis-Hastings (Alg. 2), H-SBP's synchronous pass (Alg. 4),
-///     and the post-pass move-log delta application (DESIGN §11);
-///   - from_assignment() / rebuild(): full reconstruction from a
-///     membership vector, the same slices at every thread count (DESIGN
-///     §11), used at initialization, merge boundaries, and the adaptive
-///     fallback when a pass moved too much degree mass for deltas to win.
+///     and the pass-end replay of the asynchronous passes' move logs
+///     (DESIGN §11);
+///   - from_assignment(): full construction from a membership vector,
+///     the same slices at every thread count (DESIGN §11), used at
+///     initialization, merge boundaries and D-SBP's per-pass exchange.
 ///
 /// Both paths also maintain the log-likelihood term of the MDL as a
 /// pair of order-independent fixed-point sums (Σ xlogx(M_rs) and
@@ -86,11 +86,6 @@ class Blockmodel {
   /// place in O(deg(v)). No-op if v is already in `to`.
   void move_vertex(const graph::GraphView& graph, graph::Vertex v, BlockId to);
 
-  /// Replaces the membership vector and reconstructs M/degrees/sizes
-  /// (OpenMP-parallel). Number of blocks is unchanged.
-  void rebuild(const graph::GraphView& graph,
-               std::span<const std::int32_t> assignment);
-
   /// Deep-copies the membership vector (the A-SBP working copy).
   std::vector<std::int32_t> copy_assignment() const { return assignment_; }
 
@@ -109,9 +104,8 @@ class Blockmodel {
  private:
   /// Fills every member but assignment_ and num_blocks_ from them;
   /// `release` (if set) runs after each `chunk_vertices` range.
-  void build_from(const graph::GraphView& graph,
-                  graph::Vertex chunk_vertices = 0,
-                  const std::function<void()>& release = {});
+  void build_from(const graph::GraphView& graph, graph::Vertex chunk_vertices,
+                  const std::function<void()>& release);
 
   /// m_.add(row, col, +1) returning the canonical quantized change to
   /// Σ xlogx(M_rs) — a single step-table lookup. Callers accumulate the

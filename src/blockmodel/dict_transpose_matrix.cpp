@@ -10,8 +10,9 @@ void DictTransposeMatrix::set_bulk_counters(Count total, std::size_t nnz) {
   // Moves change neither C nor the total, so this decision holds until
   // the next bulk build replaces the matrix.
   const auto c = static_cast<std::uint64_t>(dim_);
-  const bool mirror = c * c <= kDenseCellsPerNonzero * nnz &&
-                      total <= std::numeric_limits<std::int32_t>::max();
+  const bool mirror = total <= std::numeric_limits<std::int32_t>::max() &&
+                      c * c <= kDenseCellsPerEdge *
+                                   static_cast<std::uint64_t>(total);
   dense_ = {};
   if (!mirror) return;
   dense_.assign(dim_ * dim_, 0);

@@ -18,11 +18,13 @@
 /// slices' hash probes dominate the ΔMDL, Hastings and merge kernels:
 /// each is a hit/miss branch the CPU cannot predict. A bulk build
 /// (set_bulk_counters) therefore also fills a row-major int32 C×C copy
-/// of the cells when C·C ≤ kDenseCellsPerNonzero·nnz and the total fits
-/// int32, and get() / SliceProbe read it with one load. The mirror is
-/// only ever read by lookups: the slices stay the single source of
-/// iteration order, so proposal draws and merge folds walk the same
-/// entries in the same order whether or not a mirror exists.
+/// of the cells when C·C ≤ kDenseCellsPerEdge·total and the total fits
+/// int32, and get() / SliceProbe read it with one load. C and the total
+/// (the fitted graph's edge count) are what a vertex move never
+/// changes, so the decision holds for the matrix's whole life. The
+/// mirror is only ever read by lookups: the slices stay the single
+/// source of iteration order, so proposal draws and merge folds walk
+/// the same entries in the same order whether or not a mirror exists.
 ///
 /// Invariants (checked by check_consistency() in tests):
 ///   - rows_[r][s] == cols_[s][r] for every stored cell,
@@ -164,10 +166,10 @@ class DictTransposeMatrix {
 
  private:
   /// A bulk build mirrors the cells densely iff C·C is at most this many
-  /// times the stored-cell count: the mirror's 4·C² bytes then stay
-  /// under 64 bytes per stored cell, about what the row and column
-  /// slices already spend on it (DESIGN §10, "Dense cell mirror").
-  static constexpr std::uint64_t kDenseCellsPerNonzero = 16;
+  /// times the cell total, which for a blockmodel is the fitted graph's
+  /// edge count: the mirror's 4·C² bytes then stay under 64 bytes per
+  /// edge (DESIGN §10, "Dense cell mirror").
+  static constexpr std::uint64_t kDenseCellsPerEdge = 16;
 
   std::size_t dense_index(BlockId row, BlockId col) const noexcept {
     return static_cast<std::size_t>(row) * dim_ +

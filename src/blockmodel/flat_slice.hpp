@@ -1,7 +1,7 @@
 /// \file flat_slice.hpp
 /// \brief Flat sparse map for one row/column of the blockmodel matrix.
 ///
-/// The hot kernels (proposal weighted draws, merge ΔMDL, rebuild degree
+/// The hot kernels (proposal weighted draws, merge ΔMDL, build degree
 /// sums) iterate entire slices; std::unordered_map makes every step a
 /// pointer chase into a separately allocated node. FlatSlice stores the
 /// live entries as one contiguous (BlockId, Count) span:

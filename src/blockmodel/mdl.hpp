@@ -25,7 +25,7 @@ double h_function(double x) noexcept;
 
 /// Log-likelihood term L(G|B) (Eq. 1) of the current blockmodel state.
 /// O(1): decoded from the fixed-point sums the Blockmodel maintains on
-/// every move_vertex/rebuild (DESIGN §11).
+/// every move_vertex and build (DESIGN §11).
 double log_likelihood(const Blockmodel& b);
 
 /// L(G|B) recomputed from scratch by an O(nnz) OpenMP sweep over the

@@ -15,14 +15,9 @@
 /// pass to rebuild the blockmodel from a snapshot, each thread logs its
 /// accepted moves. Because each vertex has a single writer and is
 /// evaluated at most once per pass, the union of the per-thread logs is
-/// exactly the pass diff — so applying the logged moves to the
-/// blockmodel through move_vertex (O(degree) each) lands on the same
-/// state a full rebuild would, cell for cell. finish_pass() applies the
-/// log when the moved degree mass is small (the common late-pass case)
-/// and falls back to a full parallel rebuild when a high-acceptance pass
-/// moved more than `rebuild_threshold` of the edge mass, where the
-/// rebuild's one-touch-per-edge scan is cheaper than ~4 slice updates
-/// per moved edge.
+/// exactly the pass diff — so finish_pass() replays the logged moves
+/// through move_vertex (O(degree) each) and lands on the same state a
+/// full build of the pass's memberships would, cell for cell.
 #pragma once
 
 #include <omp.h>
@@ -72,40 +67,11 @@ struct MoveRecord {
   std::int32_t to;
 };
 
-/// What finish_pass() did with the move log.
-struct PassApply {
-  std::int64_t moved = 0;         ///< accepted moves in the log union
-  std::int64_t moved_degree = 0;  ///< Σ degree(v) over moved vertices
-  bool rebuilt = false;           ///< true when it fell back to rebuild()
-};
-
-/// Fills `out` from the shared vector (parallel; out is resized).
-inline void snapshot_assignment_into(const AtomicAssignment& shared,
-                                     std::vector<std::int32_t>& out) {
-  out.resize(shared.size());
-  const auto count = static_cast<std::int64_t>(shared.size());
-  util::omp_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < count; ++i) {
-      out[static_cast<std::size_t>(i)] =
-          shared[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    }
-  });
-}
-
-inline std::vector<std::int32_t> snapshot_assignment(
-    const AtomicAssignment& shared) {
-  std::vector<std::int32_t> out;
-  snapshot_assignment_into(shared, out);
-  return out;
-}
-
 /// Per-phase workspace for the asynchronous passes: the shared atomic
-/// membership vector, the atomic block sizes, the per-thread accepted-
-/// move logs, and a snapshot buffer for the rebuild fallback. Allocated
-/// once per phase (reset()) and reused across passes — the pass/apply
-/// cycle keeps `shared`/`sizes` equal to the blockmodel's state, so no
-/// copy-in is needed between passes.
+/// membership vector, the atomic block sizes and the per-thread
+/// accepted-move logs. Allocated once per phase (reset()) and reused
+/// across passes — the pass/apply cycle keeps `shared`/`sizes` equal to
+/// the blockmodel's state, so no copy-in is needed between passes.
 ///
 /// Invariant between passes (established by reset(), preserved by
 /// async_pass() + finish_pass(), and by sync_move() for serial
@@ -115,7 +81,6 @@ struct PassWorkspace {
   AtomicAssignment shared;
   AtomicSizes sizes;
   std::vector<std::vector<MoveRecord>> logs;
-  std::vector<std::int32_t> snapshot;  ///< scratch for the fallback path
   /// Per-thread proposal/acceptance tallies, summed serially after the
   /// pass (an OpenMP reduction would merge through libgomp internals
   /// ThreadSanitizer cannot see; explicit slots keep the handoff on the
@@ -162,13 +127,6 @@ struct PassWorkspace {
                                                   std::memory_order_relaxed);
   }
 };
-
-/// Delta-apply vs rebuild crossover, as a fraction of the directed edge
-/// mass 2E: applying a move touches ~4·deg(v) slice cells while a
-/// rebuild touches each edge once (plus the merge), so deltas stop
-/// winning somewhere below deg mass ≈ E/2. Conservative default; tests
-/// pass other values to finish_pass to force one path.
-inline constexpr double kDefaultRebuildThreshold = 0.25;
 
 /// Runs one parallel pass over `vertices`. `b` supplies the (stale)
 /// blockmodel for proposal weights and ΔMDL; `ws.shared`/`ws.sizes`
@@ -262,43 +220,21 @@ inline AsyncPassCounters async_pass(const graph::GraphView& graph,
   return counters;
 }
 
-/// Applies the pass recorded in `ws.logs` to `b`: O(moved-degree) move
-/// deltas when the moved degree mass is at most `rebuild_threshold` of
-/// the directed edge mass 2E, a full rebuild from a snapshot of
-/// `ws.shared` otherwise. Both paths leave b bit-identical to
-/// rebuild(snapshot) — the delta path because move_vertex preserves
-/// "state == f(assignment)" exactly at every step and the log union is
-/// the pass diff; the MDL because the likelihood sums are maintained in
-/// order-independent fixed point. Requires the PassWorkspace invariant
-/// (shared == b.assignment on entry to the preceding async_pass).
-inline PassApply finish_pass(const graph::GraphView& graph,
-                             blockmodel::Blockmodel& b, PassWorkspace& ws,
-                             double rebuild_threshold =
-                                 kDefaultRebuildThreshold) {
-  PassApply apply;
-  for (const auto& log : ws.logs) {
-    apply.moved += static_cast<std::int64_t>(log.size());
-    for (const MoveRecord& rec : log) {
-      apply.moved_degree += graph.degree(rec.v);
-    }
-  }
-  if (apply.moved == 0) return apply;
-
-  const double edge_mass = 2.0 * static_cast<double>(graph.num_edges());
-  if (static_cast<double>(apply.moved_degree) >
-      rebuild_threshold * edge_mass) {
-    apply.rebuilt = true;
-    snapshot_assignment_into(ws.shared, ws.snapshot);
-    b.rebuild(graph, ws.snapshot);
-    return apply;
-  }
-
+/// Applies the pass recorded in `ws.logs` to `b` by replaying each
+/// logged move through move_vertex, in O(moved degree). b then equals
+/// from_assignment of `ws.shared` in every cell, degree, size and MDL
+/// bit: move_vertex preserves "state == f(assignment)" exactly at every
+/// step, the log union is the pass diff, and the likelihood sums are
+/// order-independent fixed point. Only slice entry order can differ
+/// from a fresh build's. Requires the PassWorkspace invariant (shared
+/// == b.assignment on entry to the preceding async_pass).
+inline void finish_pass(const graph::GraphView& graph,
+                        blockmodel::Blockmodel& b, const PassWorkspace& ws) {
   for (const auto& log : ws.logs) {
     for (const MoveRecord& rec : log) {
       b.move_vertex(graph, rec.v, rec.to);
     }
   }
-  return apply;
 }
 
 }  // namespace hsbp::sbp::detail

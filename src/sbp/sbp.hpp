@@ -42,7 +42,7 @@ enum class Variant {
   AsyncGibbs,    ///< A-SBP
   Hybrid,        ///< H-SBP
   BatchedGibbs,  ///< B-SBP — the batched A-SBP the paper's conclusion
-                 ///< proposes: rebuild the blockmodel after every 1/K of
+                 ///< proposes: update the blockmodel after every 1/K of
                  ///< a pass, bounding staleness without a serial pass
 };
 
@@ -72,8 +72,8 @@ struct SbpConfig {
   HybridSelection hybrid_selection = HybridSelection::Degree;
 
   /// B-SBP: batches per pass (1 degenerates to A-SBP). Each batch is
-  /// one parallel sweep followed by a blockmodel rebuild, so proposals
-  /// are at most 1/batch_count of a pass stale.
+  /// one parallel sweep followed by the pass-end blockmodel update, so
+  /// proposals are at most 1/batch_count of a pass stale.
   int batch_count = 4;
 
   std::uint64_t seed = 0;

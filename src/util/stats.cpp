@@ -6,31 +6,6 @@
 #include <limits>
 
 namespace hsbp::util {
-
-Summary summarize(std::span<const double> values) noexcept {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.min = values[0];
-  s.max = values[0];
-  double sum = 0.0;
-  for (double v : values) {
-    sum += v;
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-  }
-  s.mean = sum / static_cast<double>(s.count);
-  if (s.count > 1) {
-    double ss = 0.0;
-    for (double v : values) {
-      const double d = v - s.mean;
-      ss += d * d;
-    }
-    s.stddev = std::sqrt(ss / static_cast<double>(s.count - 1));
-  }
-  return s;
-}
-
 namespace {
 
 /// Continued fraction for the incomplete beta (Numerical Recipes betacf).

@@ -1,24 +1,11 @@
 /// \file stats.hpp
-/// \brief Small statistics toolkit for the evaluation harness: summary
-/// statistics and the Pearson correlation (r², p-value) used to
-/// reproduce the paper's Fig. 3 metric-correlation analysis.
+/// \brief The Pearson correlation (r², p-value) used to reproduce the
+/// paper's Fig. 3 metric-correlation analysis.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 namespace hsbp::util {
-
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Summary statistics of a sample; count==0 yields all-zero summary.
-Summary summarize(std::span<const double> values) noexcept;
 
 struct Correlation {
   double r = 0.0;         ///< Pearson correlation coefficient

@@ -4,10 +4,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace hsbp::util {
 
@@ -44,56 +40,15 @@ class Stopwatch {
     running_ = false;
     const double interval = timer_.elapsed();
     total_ += interval;
-    ++laps_;
     return interval;
   }
 
   double total() const noexcept { return total_; }
-  std::uint64_t laps() const noexcept { return laps_; }
-
-  void clear() noexcept {
-    total_ = 0.0;
-    laps_ = 0;
-    running_ = false;
-  }
 
  private:
   Timer timer_;
   double total_ = 0.0;
-  std::uint64_t laps_ = 0;
   bool running_ = false;
-};
-
-/// Named collection of stopwatches, used by eval::Runner to report the
-/// per-phase execution-time breakdown.
-class PhaseTimers {
- public:
-  Stopwatch& operator[](const std::string& name) { return timers_[name]; }
-
-  /// (name, total seconds) pairs sorted by name for stable reporting.
-  std::vector<std::pair<std::string, double>> totals() const;
-
-  /// Sum of all phase totals.
-  double grand_total() const noexcept;
-
-  void clear() noexcept { timers_.clear(); }
-
- private:
-  std::unordered_map<std::string, Stopwatch> timers_;
-};
-
-/// RAII interval: starts `watch` on construction, stops on destruction.
-class ScopedInterval {
- public:
-  explicit ScopedInterval(Stopwatch& watch) noexcept : watch_(watch) {
-    watch_.start();
-  }
-  ~ScopedInterval() { watch_.stop(); }
-  ScopedInterval(const ScopedInterval&) = delete;
-  ScopedInterval& operator=(const ScopedInterval&) = delete;
-
- private:
-  Stopwatch& watch_;
 };
 
 }  // namespace hsbp::util

@@ -125,11 +125,15 @@ TEST(Blockmodel, MoveThereAndBackRestoresState) {
   }
 }
 
+/// Moving every vertex to another labelling lands on that labelling's
+/// from-scratch build.
 TEST(Blockmodel, RebuildMatchesFromAssignment) {
   const Graph g = hand_graph();
   auto b = Blockmodel::from_assignment(g, kHandAssignment, 2);
   const std::vector<std::int32_t> other = {1, 0, 1, 0, 1};
-  b.rebuild(g, other);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    b.move_vertex(g, v, other[static_cast<std::size_t>(v)]);
+  }
   const auto fresh = Blockmodel::from_assignment(g, other, 2);
   EXPECT_EQ(b.assignment(), fresh.assignment());
   for (BlockId r = 0; r < 2; ++r) {

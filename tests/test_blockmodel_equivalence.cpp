@@ -62,14 +62,14 @@ struct DensityCase {
 /// Sparse, medium, and dense DCSBM graphs: density controls the
 /// neighbor-block fan-out k and hence how hard the tallied dedup and
 /// the flat slices are exercised. At C = 6 every matrix carries the
-/// dense cell mirror, so the last two cases, with C·C > 16·nnz, keep
-/// the slice-probe lookup path under the same comparison.
+/// dense cell mirror, so the last two cases, with C·C > 16·E, keep the
+/// slice-probe lookup path under the same comparison.
 const DensityCase kDensities[] = {
     {120, 6, 360, true},      // sparse: avg degree 3
     {120, 6, 1800, true},     // medium: avg degree 15
     {120, 6, 7200, true},     // dense: avg degree 60, k often ≈ num_blocks
-    {120, 100, 360, false},   // C ≈ V: avg degree 3, nnz ≤ 360
-    {200, 160, 1200, false},  // C ≈ V: avg degree 12, nnz ≤ 1200
+    {120, 100, 360, false},   // C ≈ V: avg degree 3, 100² > 16·360
+    {200, 160, 1200, false},  // C ≈ V: avg degree 12, 160² > 16·1200
 };
 
 class KernelEquivalence

@@ -123,7 +123,7 @@ TEST(DictTransposeMatrix, IncrementalUpdatesAccumulate) {
 }
 
 TEST(DictTransposeMatrix, DenseMirrorFollowsRandomUpdates) {
-  // C = 12 with 30 seeded cells: C·C = 144 is well under 16·nnz = 480.
+  // C = 12 with 30 seeded cells: C·C = 144 is well under 16·total ≥ 480.
   // The updates fill most rows past FlatSlice's 8 inline entries, so
   // both slice modes sit behind the mirror.
   constexpr BlockId kSize = 12;
@@ -166,9 +166,10 @@ TEST(DictTransposeMatrix, DenseMirrorFollowsRandomUpdates) {
   expect_cells(m, want);
 }
 
-TEST(DictTransposeMatrix, DenseMirrorOnlyWhileSmallAgainstNonzeros) {
-  // C = 8: C·C = 64 ≤ 16·nnz holds from nnz = 4 on.
-  const std::vector<Cell> four = {{0, 1, 2}, {3, 3, 1}, {7, 0, 5}, {2, 6, 1}};
+TEST(DictTransposeMatrix, DenseMirrorOnlyWhileSmallAgainstTotal) {
+  // C = 8: C·C = 64 ≤ 16·total holds from total = 4 on, however few
+  // cells carry it.
+  const std::vector<Cell> four = {{0, 1, 1}, {3, 3, 1}, {7, 0, 1}, {2, 6, 1}};
   const DictTransposeMatrix mirrored = bulk_matrix(8, four);
   EXPECT_TRUE(mirrored.has_dense_mirror());
   EXPECT_TRUE(mirrored.check_consistency());
@@ -183,8 +184,60 @@ TEST(DictTransposeMatrix, DenseMirrorOnlyWhileSmallAgainstNonzeros) {
   }
   expect_cells(sparse, want);
 
+  // One cell of 4: C·C > 16·nnz = 16, yet C·C ≤ 16·total, so it mirrors.
+  const DictTransposeMatrix one_cell = bulk_matrix(8, {{5, 2, 4}});
+  EXPECT_TRUE(one_cell.has_dense_mirror());
+  EXPECT_TRUE(one_cell.check_consistency());
+  std::vector<Count> want_one(64, 0);
+  want_one[5 * 8 + 2] = 4;
+  expect_cells(one_cell, want_one);
+
   // An empty bulk build has nothing to mirror.
   EXPECT_FALSE(bulk_matrix(1, {}).has_dense_mirror());
+}
+
+TEST(DictTransposeMatrix, DenseMirrorSurvivesRandomMoves) {
+  // C = 16 with 8 cells of 2: C·C = 256 ≤ 16·total = 256, though
+  // C·C > 16·nnz = 128. Vertex moves shift units between cells and keep
+  // the total, so the mirror stays however they spread or gather the
+  // cells; half the moves land on one of two cells, so nnz swings both
+  // ways.
+  constexpr BlockId kSize = 16;
+  util::Rng rng(43);
+  std::vector<Count> want(kSize * kSize, 0);
+  std::vector<Cell> cells;
+  for (BlockId r = 0; r < kSize; r += 2) {
+    const auto s = static_cast<BlockId>(rng.uniform_int(kSize));
+    want[static_cast<std::size_t>(r * kSize + s)] = 2;
+    cells.push_back({r, s, 2});
+  }
+  DictTransposeMatrix m = bulk_matrix(kSize, cells);
+  ASSERT_TRUE(m.has_dense_mirror());
+
+  const std::size_t cell_count = want.size();
+  const auto row_of = [](std::size_t cell) {
+    return static_cast<BlockId>(cell / kSize);
+  };
+  const auto col_of = [](std::size_t cell) {
+    return static_cast<BlockId>(cell % kSize);
+  };
+  for (int step = 0; step < 2000; ++step) {
+    std::size_t from = rng.uniform_int(cell_count);
+    while (want[from] == 0) from = (from + 1) % cell_count;
+    const std::size_t to = rng.uniform_int(2) == 0
+                               ? rng.uniform_int(2)
+                               : rng.uniform_int(cell_count);
+    EXPECT_EQ(m.add(row_of(from), col_of(from), -1), --want[from]);
+    EXPECT_EQ(m.add(row_of(to), col_of(to), +1), ++want[to]);
+    ASSERT_TRUE(m.has_dense_mirror()) << "step " << step;
+    ASSERT_EQ(m.total(), kSize);
+    if (step % 100 == 0) {
+      ASSERT_TRUE(m.check_consistency()) << "step " << step;
+      expect_cells(m, want);
+    }
+  }
+  EXPECT_TRUE(m.check_consistency());
+  expect_cells(m, want);
 }
 
 TEST(DictTransposeMatrix, DenseMirrorOnlyWhileTotalFitsInt32) {

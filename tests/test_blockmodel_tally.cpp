@@ -104,15 +104,11 @@ TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
   const Graph& g = generated.graph;
 
   util::Rng rng(31);
-  const auto random_labels = [&] {
-    std::vector<std::int32_t> labels(static_cast<std::size_t>(bc.vertices));
-    for (auto& label : labels) {
-      label = static_cast<std::int32_t>(
-          rng.uniform_int(static_cast<std::uint64_t>(bc.blocks)));
-    }
-    return labels;
-  };
-  const std::vector<std::int32_t> labels = random_labels();
+  std::vector<std::int32_t> labels(static_cast<std::size_t>(bc.vertices));
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(bc.blocks)));
+  }
 
   const reference::BuildSlices want =
       reference::build_slices(g, labels, bc.blocks);
@@ -128,13 +124,6 @@ TEST_P(BuildSliceOrder, SlicesMatchPerEdgeScan) {
         want, "from_assignment_chunked");
     EXPECT_EQ(releases, (bc.vertices + chunk - 1) / chunk);
   }
-
-  // rebuild() from a different state lands on the same slices.
-  Blockmodel rebuilt =
-      Blockmodel::from_assignment(g, random_labels(), bc.blocks);
-  rebuilt.rebuild(g, labels);
-  expect_slices_equal(rebuilt, want, "rebuild");
-  EXPECT_TRUE(rebuilt.check_consistency(g));
 
   // The other thread count builds the same slices, compared directly.
   const int other = std::get<1>(GetParam()) == 1 ? 4 : 1;

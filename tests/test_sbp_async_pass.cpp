@@ -18,6 +18,13 @@ using blockmodel::BlockId;
 using blockmodel::Blockmodel;
 using graph::Vertex;
 
+/// Plain copy of the shared memberships.
+std::vector<std::int32_t> labels_of(const AtomicAssignment& shared) {
+  std::vector<std::int32_t> out;
+  for (const auto& label : shared) out.push_back(label.load());
+  return out;
+}
+
 TEST(AtomicHelpers, AssignmentRoundTrip) {
   generator::DcsbmParams p;
   p.num_vertices = 50;
@@ -28,7 +35,7 @@ TEST(AtomicHelpers, AssignmentRoundTrip) {
   const auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, 5);
   PassWorkspace ws;
   ws.reset(b);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(labels_of(ws.shared), b.assignment());
 }
 
 TEST(AtomicHelpers, SizesMatchBlockmodel) {
@@ -63,7 +70,7 @@ TEST(AtomicHelpers, ResetReusesBuffersAcrossCalls) {
   // Same sizes → the atomic vectors are reused, not reallocated, and
   // the contents track the mutated blockmodel.
   EXPECT_EQ(ws.shared.data(), shared_data);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(labels_of(ws.shared), b.assignment());
   for (BlockId r = 0; r < 4; ++r) {
     EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(), b.block_size(r));
   }
@@ -89,7 +96,7 @@ TEST(AsyncPass, EvaluatesExactlyTheGivenVertices) {
 
   // Vertices outside the subset are untouched, and the move log only
   // mentions subset vertices.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = labels_of(ws.shared);
   for (Vertex v = 0; v < 120; ++v) {
     const bool in_subset =
         std::find(subset.begin(), subset.end(), v) != subset.end();
@@ -123,7 +130,7 @@ TEST(AsyncPass, MoveLogIsExactlyThePassDiff) {
   // Each vertex appears at most once across the per-thread logs, the
   // logged destinations match the shared memberships, and every vertex
   // whose membership changed is in the log.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = labels_of(ws.shared);
   std::set<Vertex> logged;
   std::int64_t records = 0;
   for (const auto& log : ws.logs) {
@@ -160,7 +167,7 @@ TEST(AsyncPass, SizeAccountingStaysExact) {
   async_pass(g.graph, b, ws, all, 3.0, rngs);
 
   // Tracked sizes equal recounted sizes; all blocks stay non-empty.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = labels_of(ws.shared);
   std::vector<std::int32_t> recounted(5, 0);
   for (const std::int32_t label : result) {
     ++recounted[static_cast<std::size_t>(label)];
@@ -196,7 +203,7 @@ TEST(AsyncPass, NeverEmptiesSingletonBlocks) {
   util::RngPool rngs(3, 4);
   async_pass(g.graph, b, ws, all, 3.0, rngs);
 
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = labels_of(ws.shared);
   std::vector<int> counts(6, 0);
   for (const std::int32_t label : result) {
     ++counts[static_cast<std::size_t>(label)];
@@ -232,7 +239,7 @@ void expect_single_thread_replay(std::uint64_t graph_seed) {
     ws.reset(b);
     util::RngPool rngs(9, 4);
     async_pass(g.graph, b, ws, all, 3.0, rngs);
-    return snapshot_assignment(ws.shared);
+    return labels_of(ws.shared);
   };
   const auto first = run_once();
   const auto second = run_once();
@@ -262,11 +269,12 @@ TEST(AsyncPass, EmptyVertexSetIsNoop) {
   const auto counters = async_pass(g.graph, b, ws, {}, 3.0, rngs);
   EXPECT_EQ(counters.proposals, 0);
   EXPECT_EQ(counters.accepted, 0);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
-  const auto apply = finish_pass(g.graph, b, ws);
-  EXPECT_EQ(apply.moved, 0);
-  EXPECT_EQ(apply.moved_degree, 0);
-  EXPECT_FALSE(apply.rebuilt);
+  EXPECT_EQ(labels_of(ws.shared), b.assignment());
+  for (const auto& log : ws.logs) EXPECT_TRUE(log.empty());
+  const auto before = b.assignment();
+  finish_pass(g.graph, b, ws);
+  EXPECT_EQ(b.assignment(), before);
+  EXPECT_TRUE(b.check_consistency(g.graph));
 }
 
 TEST(AsyncPass, SyncMoveKeepsWorkspaceInvariant) {
@@ -289,7 +297,7 @@ TEST(AsyncPass, SyncMoveKeepsWorkspaceInvariant) {
     b.move_vertex(g.graph, v, to);
     ws.sync_move(v, from, to);
   }
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(labels_of(ws.shared), b.assignment());
   for (BlockId r = 0; r < 3; ++r) {
     EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(), b.block_size(r));
   }
@@ -318,7 +326,7 @@ TEST(AsyncPass, PassAndApplyKeepInvariants) {
 
   // Size accounting stays exact and no block empties, regardless of
   // which thread evaluated which vertex.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = labels_of(ws.shared);
   std::vector<std::int32_t> recounted(5, 0);
   for (const std::int32_t label : result) {
     ++recounted[static_cast<std::size_t>(label)];

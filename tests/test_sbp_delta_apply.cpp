@@ -1,10 +1,10 @@
-/// Bit-identity of the pass-to-pass delta application (DESIGN §11):
-/// after every pass of every parallel variant, the delta-applied
-/// blockmodel must equal a from-scratch rebuild of the pass snapshot
-/// exactly — matrix cells (both slice directions), degrees, sizes, and
-/// the MDL double. No tolerances: the fixed-point likelihood sums make
-/// the two paths produce the same bits by construction, and this suite
-/// is the enforcement.
+/// Bit-identity of the pass-end update (DESIGN §11): after every pass
+/// of every parallel variant, the blockmodel finish_pass() leaves must
+/// equal a from-scratch build of the pass's memberships exactly —
+/// matrix cells (both slice directions), degrees, sizes, the fixed-point
+/// likelihood sums and the MDL double. No tolerances: move_vertex keeps
+/// the state a function of the memberships at every step, and this
+/// suite is the enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,11 +30,12 @@ struct Density {
 };
 
 constexpr Vertex kVertices = 120;
-constexpr BlockId kBlocks = 6;
+constexpr BlockId kBlocks = 6;  ///< C·C ≤ 16·E: every state is mirrored
 
-generator::GeneratedGraph make_graph(graph::EdgeCount edges, std::uint64_t seed) {
+generator::GeneratedGraph make_graph(graph::EdgeCount edges, std::uint64_t seed,
+                                     Vertex vertices = kVertices) {
   generator::DcsbmParams p;
-  p.num_vertices = kVertices;
+  p.num_vertices = vertices;
   p.num_communities = kBlocks;
   p.num_edges = edges;
   p.ratio_within_between = 3.0;
@@ -43,8 +44,10 @@ generator::GeneratedGraph make_graph(graph::EdgeCount edges, std::uint64_t seed)
 }
 
 /// Exact equality of two blockmodels: every cell in both slice
-/// directions, the incremental counters, degrees, sizes, and the MDL
-/// doubles bit-for-bit (EXPECT_EQ, not EXPECT_NEAR).
+/// directions, the incremental counters, degrees, sizes, the mirror
+/// state, and the MDL doubles bit-for-bit (EXPECT_EQ, not EXPECT_NEAR).
+/// check_consistency() compares the likelihood sums with a fresh build's
+/// and any dense mirror cell by cell with the slices.
 void expect_identical(const Blockmodel& got, const Blockmodel& want,
                       const graph::Graph& graph, const char* context) {
   SCOPED_TRACE(context);
@@ -74,9 +77,7 @@ void expect_identical(const Blockmodel& got, const Blockmodel& want,
   EXPECT_EQ(
       blockmodel::mdl(got, graph.num_vertices(), graph.num_edges()),
       blockmodel::mdl(want, graph.num_vertices(), graph.num_edges()));
-  // At C = 6 every state carries the dense cell mirror, which
-  // check_consistency() compares cell by cell with the slices.
-  EXPECT_TRUE(got.matrix().has_dense_mirror());
+  EXPECT_EQ(got.matrix().has_dense_mirror(), want.matrix().has_dense_mirror());
   EXPECT_TRUE(got.check_consistency(graph));
 }
 
@@ -84,12 +85,10 @@ void expect_identical(const Blockmodel& got, const Blockmodel& want,
 /// from-scratch construction.
 Blockmodel reference_of(const graph::Graph& graph, const PassWorkspace& ws,
                         BlockId num_blocks) {
-  return Blockmodel::from_assignment(graph, snapshot_assignment(ws.shared),
-                                     num_blocks);
+  std::vector<std::int32_t> labels;
+  for (const auto& label : ws.shared) labels.push_back(label.load());
+  return Blockmodel::from_assignment(graph, labels, num_blocks);
 }
-
-constexpr double kForceDelta = 1e12;   ///< threshold no pass can exceed
-constexpr double kForceRebuild = -1.0; ///< any moved degree exceeds it
 
 class DeltaApplyBitIdentity
     : public ::testing::TestWithParam<graph::EdgeCount> {};
@@ -97,6 +96,7 @@ class DeltaApplyBitIdentity
 TEST_P(DeltaApplyBitIdentity, AsbpPassesDeltaVsRebuild) {
   const auto g = make_graph(GetParam(), 101);
   auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
+  ASSERT_TRUE(b.matrix().has_dense_mirror());
   std::vector<Vertex> all(static_cast<std::size_t>(kVertices));
   std::iota(all.begin(), all.end(), 0);
   util::RngPool rngs(21, 4);
@@ -107,26 +107,15 @@ TEST_P(DeltaApplyBitIdentity, AsbpPassesDeltaVsRebuild) {
     SCOPED_TRACE("pass " + std::to_string(pass));
     async_pass(g.graph, b, ws, all, 1.0, rngs);
     const auto want = reference_of(g.graph, ws, kBlocks);
-
-    // Same pass applied both ways: the delta path to b, the rebuild
-    // path to a copy. Both must land on the reference exactly.
-    Blockmodel via_rebuild = b;
-    const auto delta_apply = finish_pass(g.graph, b, ws, kForceDelta);
-    EXPECT_FALSE(delta_apply.rebuilt);
-    const auto rebuild_apply =
-        finish_pass(g.graph, via_rebuild, ws, kForceRebuild);
-    EXPECT_EQ(rebuild_apply.rebuilt, rebuild_apply.moved > 0);
-    EXPECT_EQ(delta_apply.moved, rebuild_apply.moved);
-    EXPECT_EQ(delta_apply.moved_degree, rebuild_apply.moved_degree);
-
-    expect_identical(b, want, g.graph, "delta path");
-    expect_identical(via_rebuild, want, g.graph, "rebuild path");
+    finish_pass(g.graph, b, ws);
+    expect_identical(b, want, g.graph, "A-SBP pass");
   }
 }
 
 TEST_P(DeltaApplyBitIdentity, HsbpPassesWithSerialSweep) {
   const auto g = make_graph(GetParam(), 102);
   auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
+  ASSERT_TRUE(b.matrix().has_dense_mirror());
 
   // Manual high/low degree split: top 10% by total degree go serial.
   std::vector<Vertex> order(static_cast<std::size_t>(kVertices));
@@ -161,18 +150,15 @@ TEST_P(DeltaApplyBitIdentity, HsbpPassesWithSerialSweep) {
     }
     async_pass(g.graph, b, ws, low, 1.0, rngs);
     const auto want = reference_of(g.graph, ws, kBlocks);
-
-    Blockmodel via_rebuild = b;
-    finish_pass(g.graph, b, ws, kForceDelta);
-    finish_pass(g.graph, via_rebuild, ws, kForceRebuild);
-    expect_identical(b, want, g.graph, "delta path");
-    expect_identical(via_rebuild, want, g.graph, "rebuild path");
+    finish_pass(g.graph, b, ws);
+    expect_identical(b, want, g.graph, "H-SBP pass");
   }
 }
 
 TEST_P(DeltaApplyBitIdentity, BsbpBatchesDeltaVsRebuild) {
   const auto g = make_graph(GetParam(), 103);
   auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
+  ASSERT_TRUE(b.matrix().has_dense_mirror());
   std::vector<Vertex> all(static_cast<std::size_t>(kVertices));
   std::iota(all.begin(), all.end(), 0);
   util::RngPool rngs(23, 4);
@@ -192,12 +178,8 @@ TEST_P(DeltaApplyBitIdentity, BsbpBatchesDeltaVsRebuild) {
       const std::span<const Vertex> slice(all.data() + begin, end - begin);
       async_pass(g.graph, b, ws, slice, 1.0, rngs);
       const auto want = reference_of(g.graph, ws, kBlocks);
-
-      Blockmodel via_rebuild = b;
-      finish_pass(g.graph, b, ws, kForceDelta);
-      finish_pass(g.graph, via_rebuild, ws, kForceRebuild);
-      expect_identical(b, want, g.graph, "delta path");
-      expect_identical(via_rebuild, want, g.graph, "rebuild path");
+      finish_pass(g.graph, b, ws);
+      expect_identical(b, want, g.graph, "B-SBP batch");
     }
   }
 }
@@ -208,43 +190,56 @@ INSTANTIATE_TEST_SUITE_P(Densities, DeltaApplyBitIdentity,
                            return "edges" + std::to_string(info.param);
                          });
 
-/// Crossing the rebuild threshold flips finish_pass between its two
-/// paths, and both land on the same assignment, cell values, degrees,
-/// sizes and MDL. They do not land on the same slice entry order: a
-/// rebuild lays each slice out in build order, the delta path leaves
-/// swap-remove/append order, and proposals walk slices in entry order.
-/// So the threshold can change a chain's later draws (DESIGN §11); this
-/// test does not compare entry order.
-TEST(AdaptiveFallback, ThresholdCrossingFlipsPathKeepsCountsAndMdl) {
-  const auto g = make_graph(1800, 104);
-  auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
-  std::vector<Vertex> all(static_cast<std::size_t>(kVertices));
-  std::iota(all.begin(), all.end(), 0);
-  util::RngPool rngs(24, 4);
-  PassWorkspace ws;
-  ws.reset(b);
+/// Passes that move more than a quarter of the directed edge mass 2E
+/// are replayed through move_vertex like any other and land on the same
+/// state as a fresh build of their memberships. Moves keep C and the
+/// edge count, so the mirror state does not change: C = 6 keeps its
+/// mirror and C = 120 on 800 edges (120² > 16·800) stays without one.
+TEST(PassEndApply, HeavyPassMatchesFromAssignment) {
+  struct HeavyCase {
+    Vertex vertices;
+    BlockId blocks;
+    graph::EdgeCount edges;
+    bool dense_mirror;
+  };
+  for (const HeavyCase& hc : {HeavyCase{kVertices, kBlocks, 1800, true},
+                              HeavyCase{600, 120, 800, false}}) {
+    SCOPED_TRACE("C " + std::to_string(hc.blocks));
+    const auto g = make_graph(hc.edges, 104, hc.vertices);
+    util::Rng label_rng(25);
+    std::vector<std::int32_t> labels(static_cast<std::size_t>(hc.vertices));
+    for (auto& label : labels) {
+      label = static_cast<std::int32_t>(
+          label_rng.uniform_int(static_cast<std::uint64_t>(hc.blocks)));
+    }
+    auto b = Blockmodel::from_assignment(g.graph, labels, hc.blocks);
+    ASSERT_EQ(b.matrix().has_dense_mirror(), hc.dense_mirror);
+    std::vector<Vertex> all(static_cast<std::size_t>(hc.vertices));
+    std::iota(all.begin(), all.end(), 0);
+    util::RngPool rngs(24, 4);
+    PassWorkspace ws;
+    ws.reset(b);
 
-  // Low beta → high acceptance → a pass with real degree mass moved.
-  async_pass(g.graph, b, ws, all, 0.2, rngs);
-  const auto want = reference_of(g.graph, ws, kBlocks);
+    // Low beta → high acceptance → passes that move most degree mass.
+    int heavy_passes = 0;
+    for (int pass = 0; pass < 4; ++pass) {
+      SCOPED_TRACE("pass " + std::to_string(pass));
+      async_pass(g.graph, b, ws, all, 0.1, rngs);
+      graph::EdgeCount moved_degree = 0;
+      for (const auto& log : ws.logs) {
+        for (const MoveRecord& rec : log) {
+          moved_degree += g.graph.degree(rec.v);
+        }
+      }
+      if (4 * moved_degree > 2 * g.graph.num_edges()) ++heavy_passes;
 
-  // Probe the pass's moved degree without consuming the log.
-  Blockmodel probe = b;
-  const auto measured = finish_pass(g.graph, probe, ws, kForceDelta);
-  ASSERT_GT(measured.moved, 0) << "pass moved nothing; raise acceptance";
-  const double frac = static_cast<double>(measured.moved_degree) /
-                      (2.0 * static_cast<double>(g.graph.num_edges()));
-
-  // Threshold just above the moved fraction → delta path; just below →
-  // rebuild path. Either way the counts and MDL equal the reference's.
-  Blockmodel via_delta = b;
-  Blockmodel via_rebuild = b;
-  const auto above = finish_pass(g.graph, via_delta, ws, frac * 1.01);
-  const auto below = finish_pass(g.graph, via_rebuild, ws, frac * 0.99);
-  EXPECT_FALSE(above.rebuilt);
-  EXPECT_TRUE(below.rebuilt);
-  expect_identical(via_delta, want, g.graph, "just-above threshold");
-  expect_identical(via_rebuild, want, g.graph, "just-below threshold");
+      const auto want = reference_of(g.graph, ws, hc.blocks);
+      finish_pass(g.graph, b, ws);
+      expect_identical(b, want, g.graph, "pass end");
+      EXPECT_EQ(b.matrix().has_dense_mirror(), hc.dense_mirror);
+    }
+    EXPECT_GE(heavy_passes, 2) << "passes moved too little; raise acceptance";
+  }
 }
 
 }  // namespace

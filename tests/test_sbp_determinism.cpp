@@ -196,8 +196,10 @@ TEST_P(ChainEquivalence, OptimizedChainMatchesReferenceChain) {
       }
     }
     if (param.stale) {
-      opt.b.rebuild(g.graph, opt.labels);
-      ref.b.rebuild(g.graph, ref.labels);
+      opt.b = blockmodel::Blockmodel::from_assignment(g.graph, opt.labels,
+                                                      num_blocks);
+      ref.b = blockmodel::Blockmodel::from_assignment(g.graph, ref.labels,
+                                                      num_blocks);
     }
   }
 

@@ -248,6 +248,8 @@ TEST_P(EntryOrder, KernelsAgreeAcrossSliceOrders) {
   const Blockmodel built = Blockmodel::from_assignment(g, labels, oc.blocks);
   const Blockmodel other = reordered(g, built);
   ASSERT_TRUE(entry_orders_differ(built, other));
+  // The lookup path the instantiation below names for each case.
+  ASSERT_EQ(built.matrix().has_dense_mirror(), oc.blocks == 6);
   ASSERT_EQ(built.matrix().has_dense_mirror(),
             other.matrix().has_dense_mirror());
 
@@ -292,8 +294,9 @@ TEST_P(EntryOrder, KernelsAgreeAcrossSliceOrders) {
   }
 }
 
-// C = 6 reads cells through the dense mirror; C = 120 on 200 vertices
-// leaves the matrix without one, so every lookup probes a slice.
+// C = 6 reads cells through the dense mirror; C = 120 on 600 edges
+// (120² > 16·600) leaves the matrix without one, so every lookup probes
+// a slice.
 INSTANTIATE_TEST_SUITE_P(
     MirrorAndSlices, EntryOrder,
     ::testing::Values(OrderCase{120, 6, 1800}, OrderCase{200, 120, 600}),

@@ -9,33 +9,6 @@
 namespace hsbp::util {
 namespace {
 
-TEST(Summarize, EmptyInput) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.stddev, 0.0);
-}
-
-TEST(Summarize, SingleValue) {
-  const std::vector<double> v = {4.5};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.mean, 4.5);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.min, 4.5);
-  EXPECT_DOUBLE_EQ(s.max, 4.5);
-}
-
-TEST(Summarize, KnownSample) {
-  const std::vector<double> v = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  // Sample variance (n-1): sum of squares = 32, / 7.
-  EXPECT_NEAR(s.stddev, std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-}
-
 TEST(IncompleteBeta, BoundaryValues) {
   EXPECT_DOUBLE_EQ(regularized_incomplete_beta(2.0, 3.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(regularized_incomplete_beta(2.0, 3.0, 1.0), 1.0);
