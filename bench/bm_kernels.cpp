@@ -299,6 +299,8 @@ void BM_RebuildBlockmodel(benchmark::State& state) {
 }
 BENCHMARK(BM_RebuildBlockmodel)->Arg(500)->Arg(2000)->Arg(8000);
 
+// One mdl() read: the O(nnz + C) fixed-point likelihood rescan that
+// run_passes pays once per pass.
 void BM_FullMdl(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
@@ -319,7 +321,7 @@ BENCHMARK(BM_IdentityBlockmodel);
 
 // ---- pass-overhead bench (DESIGN §11): what it costs to carry the
 // blockmodel from pass N to pass N+1, as a function of how much the
-// pass moved: the move-log replay plus the O(1) MDL. The Arg is the
+// pass moved: the move-log replay plus the MDL rescan. The Arg is the
 // number of moved vertices per 1000 (permille of V).
 
 void BM_PassOverhead_DeltaApply(benchmark::State& state) {

@@ -59,10 +59,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # (torn/oversized frames, injected disconnects, shed/reap paths).
 # Checkpoint and frame-I/O bugs are exactly the kind that only a
 # sanitizer catches (use-after-close, torn buffers). The same build
-# then runs the matrix, xlogx-table, kernel-equivalence, pass-end
-# apply, build-order and scratch-reuse suites: the blockmodel's dense cell
-# mirror (DESIGN §10) is raw strided indexing into a C×C array, read by
-# every ΔMDL, Hastings and merge kernel, and the gather's and the
+# then runs the matrix, xlogx-table, likelihood, kernel-equivalence,
+# pass-end apply, build-order and scratch-reuse suites. The likelihood
+# suite covers the one MDL path, an __int128 OpenMP rescan whose
+# per-thread partials are indexed by thread id. The blockmodel's dense
+# cell mirror (DESIGN §10) is raw strided indexing into a C×C array,
+# read by every ΔMDL, Hastings and merge kernel, and the gather's and the
 # build's per-block tallies are raw int32 arrays indexed by block id
 # without bounds checks, sized from the block count (TallyRuns resizes
 # the build's tally for each run it cuts a row into). The
@@ -86,7 +88,7 @@ if [[ -z "${HSBP_SANITIZE:-}" && "${HSBP_SKIP_FAULT:-0}" != "1" ]]; then
   cmake --build "$FAULT_DIR" -j "$JOBS"
   (cd "$FAULT_DIR" && ctest --output-on-failure -j "$JOBS" -L fault)
   "$FAULT_DIR/tests/test_blockmodel" \
-    --gtest_filter='DictTransposeMatrix*:XlogxTable.*:*KernelEquivalence*:*BuildSliceOrder*:TallyRuns.*:*MoveScratchReuse*'
+    --gtest_filter='DictTransposeMatrix*:XlogxTable.*:LogLikelihood.*:*KernelEquivalence*:*BuildSliceOrder*:TallyRuns.*:*MoveScratchReuse*'
   "$FAULT_DIR/tests/test_sbp" \
     --gtest_filter='*DeltaApplyBitIdentity*:PassEndApply.*:*PhaseEquivalence*:*ChainEquivalence*:*HastingsBound*:HastingsCorrection.*:ExtendAssignment.*:RefineAssignment.*:WarmRefit.*:ProposalExact.*:*EntryOrder*'
   "$FAULT_DIR/tests/test_dist" --gtest_filter='*DistEquivalence*:Distributed.*'

@@ -66,16 +66,13 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   d_out_.assign(blocks, 0);
   d_in_.assign(blocks, 0);
   block_sizes_.assign(blocks, 0);
-  ll_cells_ = 0;
-  ll_degrees_ = 0;
 
   // One order rule at every thread count (DESIGN §11): row r tallies the
   // out-neighbor blocks of its vertices in ascending id (the gather's
   // BlockTally), so it lists its columns in order of first sighting, and
   // the columns are filled from the rows in ascending row id. Threads
   // own contiguous ranges of rows, then of columns: the split decides
-  // who writes a line, never its order. The likelihood partials are
-  // fixed-point integers, so their serial reduction is order-independent.
+  // who writes a line, never its order.
   //
   // A counting sort lists block r's vertices in ascending id as
   // members[first[r] .. first[r + 1]); next[r] is the first of them no
@@ -98,8 +95,6 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
     BlockTally tally;
     Count total = 0;
     std::int64_t nnz = 0;
-    LlFixed ll_cells = 0;
-    LlFixed ll_degrees = 0;
   };
   std::vector<ThreadPart> parts(
       static_cast<std::size_t>(omp_get_max_threads()));
@@ -160,12 +155,7 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
         part.nnz += m_.bulk_col(col).add(r, value);
         d_in_[static_cast<std::size_t>(col)] += value;
         part.total += value;
-        part.ll_cells += xlogx_fixed(value);
       }
-    }
-    for (BlockId b = lo; b < hi; ++b) {
-      part.ll_degrees += xlogx_fixed(d_out_[static_cast<std::size_t>(b)]) +
-                         xlogx_fixed(d_in_[static_cast<std::size_t>(b)]);
     }
   };
 
@@ -189,8 +179,6 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   for (const ThreadPart& part : parts) {
     total += part.total;
     nnz += part.nnz;
-    ll_cells_ += part.ll_cells;
-    ll_degrees_ += part.ll_degrees;
   }
   m_.set_bulk_counters(total, static_cast<std::size_t>(nnz));
 }
@@ -201,46 +189,32 @@ void Blockmodel::move_vertex(const GraphView& graph, Vertex v, BlockId to) {
   assert(to >= 0 && to < num_blocks_);
   // Each edge incident on v is touched exactly once: out-edges cover the
   // self-loop case (v, v); in-edges skip u == v to avoid double counting.
-  // The Σ xlogx(M_rs) step terms (one canonical step-table lookup per
-  // ±1 cell change) accumulate in a local before one flush into the
-  // fixed-point member — integer addition keeps the sum bit-identical
-  // to any other grouping.
-  LlFixed ll_delta = 0;
   for (const Vertex u : graph.out_neighbors(v)) {
     const BlockId ub = (u == v) ? from : assignment_[static_cast<std::size_t>(u)];
-    ll_delta += remove_cell_unit(from, ub);
+    m_.add(from, ub, -1);
   }
   for (const Vertex u : graph.in_neighbors(v)) {
     if (u == v) continue;
-    ll_delta += remove_cell_unit(assignment_[static_cast<std::size_t>(u)], from);
+    m_.add(assignment_[static_cast<std::size_t>(u)], from, -1);
   }
 
   assignment_[static_cast<std::size_t>(v)] = to;
 
   for (const Vertex u : graph.out_neighbors(v)) {
     const BlockId ub = (u == v) ? to : assignment_[static_cast<std::size_t>(u)];
-    ll_delta += insert_cell_unit(to, ub);
+    m_.add(to, ub, +1);
   }
   for (const Vertex u : graph.in_neighbors(v)) {
     if (u == v) continue;
-    ll_delta += insert_cell_unit(assignment_[static_cast<std::size_t>(u)], to);
+    m_.add(assignment_[static_cast<std::size_t>(u)], to, +1);
   }
-  ll_cells_ += ll_delta;
 
   const Count out_deg = graph.out_degree(v);
   const Count in_deg = graph.in_degree(v);
-  ll_degrees_ -= xlogx_fixed(d_out_[static_cast<std::size_t>(from)]) +
-                 xlogx_fixed(d_out_[static_cast<std::size_t>(to)]) +
-                 xlogx_fixed(d_in_[static_cast<std::size_t>(from)]) +
-                 xlogx_fixed(d_in_[static_cast<std::size_t>(to)]);
   d_out_[static_cast<std::size_t>(from)] -= out_deg;
   d_out_[static_cast<std::size_t>(to)] += out_deg;
   d_in_[static_cast<std::size_t>(from)] -= in_deg;
   d_in_[static_cast<std::size_t>(to)] += in_deg;
-  ll_degrees_ += xlogx_fixed(d_out_[static_cast<std::size_t>(from)]) +
-                 xlogx_fixed(d_out_[static_cast<std::size_t>(to)]) +
-                 xlogx_fixed(d_in_[static_cast<std::size_t>(from)]) +
-                 xlogx_fixed(d_in_[static_cast<std::size_t>(to)]);
   --block_sizes_[static_cast<std::size_t>(from)];
   ++block_sizes_[static_cast<std::size_t>(to)];
 }
@@ -249,11 +223,6 @@ bool Blockmodel::check_consistency(const GraphView& graph) const {
   if (!m_.check_consistency()) return false;
   Blockmodel fresh = from_assignment(graph, assignment_, num_blocks_);
   if (fresh.m_.total() != m_.total()) return false;
-  // The maintained fixed-point likelihood sums must equal a from-scratch
-  // rebuild's exactly (integer addition is order-independent).
-  if (fresh.ll_cells_ != ll_cells_ || fresh.ll_degrees_ != ll_degrees_) {
-    return false;
-  }
   for (BlockId r = 0; r < num_blocks_; ++r) {
     if (fresh.d_out_[static_cast<std::size_t>(r)] !=
             d_out_[static_cast<std::size_t>(r)] ||

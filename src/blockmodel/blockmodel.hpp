@@ -15,10 +15,9 @@
 ///     the same slices at every thread count (DESIGN §11), used at
 ///     initialization, merge boundaries and D-SBP's per-pass exchange.
 ///
-/// Both paths also maintain the log-likelihood term of the MDL as a
-/// pair of order-independent fixed-point sums (Σ xlogx(M_rs) and
-/// Σ xlogx(d_out) + xlogx(d_in), see xlogx_table.hpp), so mdl() is O(1)
-/// and bit-identical no matter which path produced the state.
+/// Neither path keeps a likelihood: mdl.hpp's log_likelihood() rescans
+/// the state in fixed point, so it is bit-identical no matter which path
+/// produced it.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "blockmodel/dict_transpose_matrix.hpp"
-#include "blockmodel/xlogx_table.hpp"
 #include "graph/view.hpp"
 
 namespace hsbp::blockmodel {
@@ -89,16 +87,8 @@ class Blockmodel {
   /// Deep-copies the membership vector (the A-SBP working copy).
   std::vector<std::int32_t> copy_assignment() const { return assignment_; }
 
-  /// Log-likelihood term L(G|B) (mdl.hpp Eq. 1) decoded from the
-  /// incrementally maintained fixed-point sums — O(1). Exactly equal to
-  /// an O(nnz) rescan (log_likelihood_rescan) because both accumulate
-  /// the same quantized integer terms.
-  double log_likelihood() const noexcept {
-    return ll_fixed_to_double(ll_cells_ - ll_degrees_);
-  }
-
   /// Full structural invariant check (matrix mirror, degree totals,
-  /// sizes, fixed-point likelihood sums); O(E + nnz). For tests.
+  /// sizes); O(E + nnz). For tests.
   bool check_consistency(const graph::GraphView& graph) const;
 
  private:
@@ -107,30 +97,12 @@ class Blockmodel {
   void build_from(const graph::GraphView& graph, graph::Vertex chunk_vertices,
                   const std::function<void()>& release);
 
-  /// m_.add(row, col, +1) returning the canonical quantized change to
-  /// Σ xlogx(M_rs) — a single step-table lookup. Callers accumulate the
-  /// returned terms locally (a register, not the __int128 member) and
-  /// flush once per move; integer addition makes the grouping
-  /// irrelevant to the final sum.
-  LlFixed insert_cell_unit(BlockId row, BlockId col) {
-    const Count value = m_.add(row, col, +1);
-    return xlogx_fixed_step(value - 1);
-  }
-
-  /// m_.add(row, col, -1) counterpart of insert_cell_unit().
-  LlFixed remove_cell_unit(BlockId row, BlockId col) {
-    const Count value = m_.add(row, col, -1);
-    return -xlogx_fixed_step(value);
-  }
-
   BlockId num_blocks_ = 0;
   std::vector<std::int32_t> assignment_;
   DictTransposeMatrix m_;
   std::vector<Count> d_out_;
   std::vector<Count> d_in_;
   std::vector<std::int32_t> block_sizes_;
-  LlFixed ll_cells_ = 0;    ///< Σ_{r,s} xlogx(M_rs), fixed point
-  LlFixed ll_degrees_ = 0;  ///< Σ_r xlogx(d_out_r) + xlogx(d_in_r), fixed point
 };
 
 }  // namespace hsbp::blockmodel

@@ -89,8 +89,7 @@ class DictTransposeMatrix {
   }
 
   /// Adds `delta` to cell (row, col); erases the cell if it reaches zero.
-  /// Returns the cell's resulting value (0 when erased) so callers can
-  /// maintain Σ f(M_rs) aggregates without a second lookup.
+  /// Returns the cell's resulting value (0 when erased).
   /// \pre resulting value must be >= 0 (asserted).
   /// Inline so move_vertex's ±1 deltas constant-propagate into the
   /// FlatSlice fast path — this is called ~4·deg(v) times per move and

@@ -65,8 +65,7 @@ class FlatSlice {
   /// Adds `delta` to the entry for `key`, erasing it if it reaches zero.
   /// Returns +1 if an entry was created, -1 if one was erased, else 0;
   /// `new_value` receives the entry's resulting value (0 when erased) so
-  /// callers maintaining Σ f(value) aggregates — the Blockmodel's
-  /// fixed-point log-likelihood — get it without a second lookup.
+  /// the matrix can write its dense mirror without a second lookup.
   /// \pre the resulting value must be >= 0 (asserted).
   /// Inline so the dominant case — updating an existing entry, what
   /// move_vertex does ~4·deg(v) times per accepted move — compiles down

@@ -21,9 +21,7 @@ double h_function(double x) noexcept {
   return (1.0 + x) * std::log1p(x) - xlogx(x);
 }
 
-double log_likelihood(const Blockmodel& b) { return b.log_likelihood(); }
-
-double log_likelihood_rescan(const Blockmodel& b) {
+double log_likelihood(const Blockmodel& b) {
   const int threads = omp_get_max_threads();
   std::vector<LlFixed> partials(static_cast<std::size_t>(threads), 0);
   const BlockId num_blocks = b.num_blocks();

@@ -23,24 +23,24 @@ double xlogx(double x) noexcept;
 /// The model-complexity weight h(x) of Eq. 2.
 double h_function(double x) noexcept;
 
-/// Log-likelihood term L(G|B) (Eq. 1) of the current blockmodel state.
-/// O(1): decoded from the fixed-point sums the Blockmodel maintains on
-/// every move_vertex and build (DESIGN §11).
+/// Log-likelihood term L(G|B) (Eq. 1) of the current blockmodel state,
+/// by an O(nnz + C) OpenMP sweep over the matrix rows and block degrees.
+/// Each count contributes its quantized xlogx_fixed term and the terms
+/// add as integers, so the result does not depend on the order the
+/// slices list their entries in, nor on the thread count: any two
+/// states with the same cells and degrees decode to the same double
+/// (DESIGN §11).
+/// Opens a util::omp_region, which is not reentrant: never call it inside
+/// an OpenMP region, nor from one thread while another runs a region.
 double log_likelihood(const Blockmodel& b);
-
-/// L(G|B) recomputed from scratch by an O(nnz) OpenMP sweep over the
-/// matrix rows, accumulating the same fixed-point terms the maintained
-/// path uses. Exactly equal to log_likelihood() — integer partial sums
-/// make the reduction order-independent — so tests can assert the
-/// incremental bookkeeping with ==, not a tolerance.
-double log_likelihood_rescan(const Blockmodel& b);
 
 /// Model description length E·h(C²/E) + V·log C for C blocks.
 double model_description_length(graph::Vertex num_vertices,
                                 graph::EdgeCount num_edges,
                                 BlockId num_blocks) noexcept;
 
-/// Full MDL (Eq. 2) of the blockmodel over the given graph size.
+/// Full MDL (Eq. 2) of the blockmodel over the given graph size; costs
+/// one log_likelihood() rescan, under the same threading rule.
 double mdl(const Blockmodel& b, graph::Vertex num_vertices,
            graph::EdgeCount num_edges);
 

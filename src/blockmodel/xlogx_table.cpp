@@ -35,28 +35,9 @@ std::array<std::int64_t, kXlogxTableSize> build_fixed_table() noexcept {
 const std::array<std::int64_t, kXlogxTableSize> fixed_table_storage =
     build_fixed_table();
 
-std::array<std::int64_t, kXlogxTableSize> build_step_table() noexcept {
-  std::array<std::int64_t, kXlogxTableSize> table{};
-  for (std::size_t x = 0; x + 1 < kXlogxTableSize; ++x) {
-    table[x] = fixed_table_storage[x + 1] - fixed_table_storage[x];
-  }
-  // The last step leaves the table: its upper term uses the live
-  // fallback's expression, which is the canonical quantization of
-  // xlogx(kXlogxTableSize) everywhere else too.
-  const auto top = static_cast<double>(kXlogxTableSize);
-  table[kXlogxTableSize - 1] =
-      static_cast<std::int64_t>(std::rint(top * std::log(top) * 0x1p40)) -
-      fixed_table_storage[kXlogxTableSize - 1];
-  return table;
-}
-
-const std::array<std::int64_t, kXlogxTableSize> step_table_storage =
-    build_step_table();
-
 }  // namespace
 
 const double* const xlogx_table = table_storage.data();
 const std::int64_t* const xlogx_fixed_table = fixed_table_storage.data();
-const std::int64_t* const xlogx_fixed_step_table = step_table_storage.data();
 
 }  // namespace hsbp::blockmodel::detail

@@ -10,18 +10,17 @@
 /// (`x * std::log(x)`), so table hits are bit-identical to computing:
 /// the optimized kernels stay bit-for-bit equal to the reference ones.
 ///
-/// The fixed-point variant exists for the *incrementally maintained*
-/// log-likelihood (DESIGN §11): the Blockmodel keeps Σ xlogx(M_rs) and
-/// Σ xlogx(d) as integers scaled by 2^kLlFixedShift. Integer addition
-/// is commutative and associative, so a sum maintained one move at a
-/// time equals a from-scratch rescan *exactly*, regardless of slice
-/// iteration order — which floating-point accumulation cannot promise.
-/// Terms are quantized once (per count value), not per use, so the
-/// delta-applied and rebuilt states agree bit-for-bit. The accumulator
-/// is __int128: at shift 40 a single term reaches ~2^85 for the largest
-/// representable counts, far past int64, while the 2^-41 per-term
-/// rounding error keeps the decoded double well inside the 1e-9
-/// tolerances the MDL tests use.
+/// The fixed-point variant exists for log_likelihood() (mdl.hpp, DESIGN
+/// §11), which sums xlogx(M_rs) and xlogx(d) as integers scaled by
+/// 2^kLlFixedShift. Integer addition is commutative and associative, so
+/// the sum is the same *exactly* whatever order the slices list their
+/// entries in and however the threads split the rows — which
+/// floating-point accumulation cannot promise. Terms are quantized once
+/// (per count value), not per use, so a delta-applied state and a
+/// rebuild of it decode to the same double. The accumulator is __int128:
+/// at shift 40 a single term reaches ~2^85 for the largest representable
+/// counts, far past int64, while the 2^-41 per-term rounding error keeps
+/// the decoded double well inside the 1e-9 tolerances the MDL tests use.
 #pragma once
 
 #include <cmath>
@@ -44,12 +43,6 @@ namespace detail {
 extern const double* const xlogx_table;
 /// xlogx_fixed_table[x] == rint(xlogx_table[x] * 2^kLlFixedShift).
 extern const std::int64_t* const xlogx_fixed_table;
-/// xlogx_fixed_step_table[x] == xlogx_fixed(x+1) - xlogx_fixed(x): the
-/// canonical quantized change of a Σ xlogx sum when a count steps
-/// x → x+1. Differences of the canonical per-count values, never a
-/// separately rounded quantity, so step-maintained sums stay
-/// bit-identical to rescans.
-extern const std::int64_t* const xlogx_fixed_step_table;
 }  // namespace detail
 
 /// x·log x for an integer count: table lookup below kXlogxTableSize,
@@ -72,18 +65,6 @@ inline LlFixed xlogx_fixed(Count x) noexcept {
   }
   const double xd = static_cast<double>(x);
   return static_cast<LlFixed>(std::rint(xd * std::log(xd) * 0x1p40));
-}
-
-/// F(x+1) − F(x) for the canonical quantized xlogx: the exact amount a
-/// Σ xlogx(count) accumulator changes when one count steps x → x+1.
-/// One table lookup where the plain formulation needs two — this is
-/// what keeps move_vertex's per-edge likelihood maintenance cheap.
-/// \pre x >= 0.
-inline LlFixed xlogx_fixed_step(Count x) noexcept {
-  if (static_cast<std::uint64_t>(x) < kXlogxTableSize) {
-    return detail::xlogx_fixed_step_table[static_cast<std::size_t>(x)];
-  }
-  return xlogx_fixed(x + 1) - xlogx_fixed(x);
 }
 
 /// Decodes a fixed-point Σ xlogx accumulator back to double.

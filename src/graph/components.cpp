@@ -1,7 +1,6 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 
 namespace hsbp::graph {
@@ -40,31 +39,6 @@ ComponentInfo weakly_connected_components(const GraphView& graph) {
         info.sizes.begin());
   }
   return info;
-}
-
-Subgraph extract_component(const GraphView& graph, const ComponentInfo& info,
-                           std::int32_t component) {
-  assert(component >= 0 && component < info.count);
-  Subgraph out;
-  std::vector<Vertex> new_id(static_cast<std::size_t>(graph.num_vertices()),
-                             -1);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    if (info.component_of[static_cast<std::size_t>(v)] == component) {
-      new_id[static_cast<std::size_t>(v)] =
-          static_cast<Vertex>(out.original_ids.size());
-      out.original_ids.push_back(v);
-    }
-  }
-  std::vector<Edge> edges;
-  for (const Vertex v : out.original_ids) {
-    for (const Vertex u : graph.out_neighbors(v)) {
-      edges.emplace_back(new_id[static_cast<std::size_t>(v)],
-                         new_id[static_cast<std::size_t>(u)]);
-    }
-  }
-  out.graph = Graph::from_edges(
-      static_cast<Vertex>(out.original_ids.size()), edges);
-  return out;
 }
 
 }  // namespace hsbp::graph

@@ -24,13 +24,4 @@ struct ComponentInfo {
 /// Weakly-connected components (edge direction ignored), iterative BFS.
 ComponentInfo weakly_connected_components(const GraphView& graph);
 
-/// Extracts the subgraph induced by one component. Returns the new
-/// graph plus the mapping from new vertex ids to the original ids.
-struct Subgraph {
-  Graph graph;
-  std::vector<Vertex> original_ids;  ///< new id → original id
-};
-Subgraph extract_component(const GraphView& graph, const ComponentInfo& info,
-                           std::int32_t component);
-
 }  // namespace hsbp::graph

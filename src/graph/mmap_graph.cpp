@@ -132,14 +132,6 @@ void MmapGraph::reset() noexcept {
   map_bytes_ = 0;
 }
 
-void MmapGraph::advise_sequential() const noexcept {
-  if (map_ != nullptr) ::madvise(map_, map_bytes_, MADV_SEQUENTIAL);
-}
-
-void MmapGraph::advise_random() const noexcept {
-  if (map_ != nullptr) ::madvise(map_, map_bytes_, MADV_RANDOM);
-}
-
 void MmapGraph::evict() const noexcept {
   if (map_ != nullptr) ::madvise(map_, map_bytes_, MADV_DONTNEED);
 }

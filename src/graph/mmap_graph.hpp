@@ -54,10 +54,6 @@ class MmapGraph {
   }
   const std::string& path() const noexcept { return path_; }
 
-  /// madvise hints for the upcoming access pattern (best-effort).
-  void advise_sequential() const noexcept;  ///< streaming passes, CRC
-  void advise_random() const noexcept;      ///< MCMC neighbor lookups
-
   /// Drops resident pages (MADV_DONTNEED). Safe at any time: pages
   /// fault back in from the file on the next access. The out-of-core
   /// driver calls this between stages to keep peak RSS under budget.

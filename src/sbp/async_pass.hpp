@@ -224,7 +224,7 @@ inline AsyncPassCounters async_pass(const graph::GraphView& graph,
 /// logged move through move_vertex, in O(moved degree). b then equals
 /// from_assignment of `ws.shared` in every cell, degree, size and MDL
 /// bit: move_vertex preserves "state == f(assignment)" exactly at every
-/// step, the log union is the pass diff, and the likelihood sums are
+/// step, the log union is the pass diff, and log_likelihood() sums
 /// order-independent fixed point. Only slice entry order can differ
 /// from a fresh build's. Requires the PassWorkspace invariant (shared
 /// == b.assignment on entry to the preceding async_pass).

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -95,40 +94,36 @@ VertexOutcome evaluate_vertex(const graph::GraphView& graph,
 }
 
 /// The paper's early-stopping rule: stop when the summed |ΔMDL| of the
-/// last `window` passes drops below threshold × |MDL|. Fixed-size ring
+/// last kWindow passes drops below threshold × |MDL|. Fixed-size ring
 /// buffer with a running sum — recording a pass is O(1) and the window
 /// never allocates (every variant touches it once per pass).
 class ConvergenceWindow {
  public:
-  explicit ConvergenceWindow(double threshold, std::size_t window = 3)
-      : threshold_(threshold), window_(window) {
-    assert(window_ >= 1 && window_ <= kMaxWindow);
-  }
+  explicit ConvergenceWindow(double threshold) : threshold_(threshold) {}
 
   /// Records one pass; returns true if the chain has converged.
   bool record(double pass_delta_mdl, double current_mdl) {
     const double value = std::fabs(pass_delta_mdl);
-    if (filled_ == window_) {
+    if (filled_ == kWindow) {
       sum_ -= history_[head_];
     } else {
       ++filled_;
     }
     history_[head_] = value;
-    head_ = (head_ + 1) % window_;
+    head_ = (head_ + 1) % kWindow;
     sum_ += value;
-    if (filled_ < window_) return false;
+    if (filled_ < kWindow) return false;
     return sum_ < threshold_ * std::fabs(current_mdl);
   }
 
  private:
-  static constexpr std::size_t kMaxWindow = 8;
+  static constexpr std::size_t kWindow = 3;
 
   double threshold_;
-  std::size_t window_;
   std::size_t head_ = 0;
   std::size_t filled_ = 0;
   double sum_ = 0.0;
-  std::array<double, kMaxWindow> history_{};
+  std::array<double, kWindow> history_{};
 };
 
 }  // namespace hsbp::sbp

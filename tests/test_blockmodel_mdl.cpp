@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
 #include "blockmodel/mdl.hpp"
+#include "generator/dcsbm.hpp"
 #include "graph/graph.hpp"
+#include "util/omp_region.hpp"
 
 namespace hsbp::blockmodel {
 namespace {
@@ -110,22 +113,47 @@ TEST(NullMdl, DegenerateInputs) {
   EXPECT_EQ(null_mdl(10, 0), 0.0);
 }
 
-TEST(LogLikelihood, MaintainedEqualsRescanExactly) {
-  // The O(1) maintained likelihood and the O(nnz) rescan accumulate the
-  // same quantized fixed-point terms, so they must agree to the bit —
-  // EXPECT_EQ on doubles, no tolerance.
-  const std::vector<Edge> edges = {{0, 1}, {1, 0}, {2, 3}, {3, 2}, {0, 2},
-                                   {4, 4}, {4, 1}, {3, 4}, {2, 2}, {1, 4}};
-  const Graph g = Graph::from_edges(5, edges);
-  const std::vector<std::int32_t> assignment = {0, 1, 2, 0, 1};
-  const auto b = Blockmodel::from_assignment(g, assignment, 3);
-  EXPECT_EQ(log_likelihood(b), log_likelihood_rescan(b));
+TEST(LogLikelihood, SameAtEveryThreadCount) {
+  // The rescan splits the rows among the threads and adds their
+  // fixed-point partials as integers, so the decoded double is the same
+  // at every team size — EXPECT_EQ on doubles, no tolerance.
+  generator::DcsbmParams p;
+  p.num_vertices = 300;
+  p.num_communities = 24;
+  p.num_edges = 3000;
+  p.seed = 5;
+  const auto g = generator::generate_dcsbm(p);
+  const auto b =
+      Blockmodel::from_assignment(g.graph, g.ground_truth, p.num_communities);
+  const auto at_threads = [&b](int threads) {
+    const util::ScopedThreads scoped(threads);
+    return log_likelihood(b);
+  };
+  const double serial = at_threads(1);
+  EXPECT_EQ(at_threads(2), serial);
+  EXPECT_EQ(at_threads(3), serial);
+  EXPECT_EQ(at_threads(4), serial);
 }
 
-TEST(LogLikelihood, MaintainedTracksMoveSequenceExactly) {
-  // After every in-place move the maintained sums must still equal the
-  // rescan and a from-scratch construction of the same assignment —
-  // this is the invariant the pass-to-pass delta application rests on.
+/// True when some row lists the same cells in another order in `a`
+/// than in `b`.
+bool some_row_order_differs(const Blockmodel& a, const Blockmodel& b) {
+  for (BlockId r = 0; r < a.num_blocks(); ++r) {
+    const auto x = a.matrix().row(r).entries();
+    const auto y = b.matrix().row(r).entries();
+    for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+      if (x[i].key != y[i].key) return true;
+    }
+  }
+  return false;
+}
+
+TEST(LogLikelihood, IndependentOfSliceEntryOrder) {
+  // move_vertex appends new cells to a row and swap-removes emptied
+  // ones, while a fresh build lists a row's cells by first sighting in
+  // ascending vertex id. After every move below the two list some row
+  // in another order, and the rescans must still agree to the bit: the
+  // pass-end replay (DESIGN §11) rests on this.
   const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 4},
                                    {4, 3}, {1, 1}, {0, 3}, {2, 4}, {4, 0},
                                    {3, 1}, {1, 4}};
@@ -134,13 +162,13 @@ TEST(LogLikelihood, MaintainedTracksMoveSequenceExactly) {
   auto b = Blockmodel::from_assignment(g, assignment, 3);
 
   const std::vector<std::pair<graph::Vertex, BlockId>> moves = {
-      {0, 1}, {2, 2}, {4, 0}, {0, 2}, {2, 1}, {4, 2}, {0, 0}};
+      {0, 1}, {2, 2}, {4, 0}, {0, 2}, {2, 1},
+      {4, 2}, {3, 0}, {1, 2}, {0, 0}};
   for (const auto& [v, to] : moves) {
-    if (b.block_size(b.block_of(v)) <= 1 || b.block_of(v) == to) continue;
     b.move_vertex(g, v, to);
     assignment[static_cast<std::size_t>(v)] = to;
-    EXPECT_EQ(log_likelihood(b), log_likelihood_rescan(b));
     const auto fresh = Blockmodel::from_assignment(g, assignment, 3);
+    ASSERT_TRUE(some_row_order_differs(b, fresh)) << "after moving " << v;
     EXPECT_EQ(log_likelihood(b), log_likelihood(fresh));
     EXPECT_EQ(mdl(b, 5, 12), mdl(fresh, 5, 12));
   }

@@ -60,29 +60,6 @@ TEST(Components, SelfLoopsDoNotConfuse) {
   EXPECT_EQ(info.count, 2);
 }
 
-TEST(ExtractComponent, PreservesInducedEdges) {
-  const std::vector<Edge> edges = {{0, 1}, {1, 0}, {1, 1}, {2, 3}, {3, 2}};
-  const Graph g = Graph::from_edges(4, edges);
-  const auto info = weakly_connected_components(g);
-  const auto sub = extract_component(g, info, info.component_of[0]);
-  EXPECT_EQ(sub.graph.num_vertices(), 2);
-  EXPECT_EQ(sub.graph.num_edges(), 3);  // 0↔1 plus the self-loop
-  EXPECT_EQ(sub.graph.num_self_loops(), 1);
-  ASSERT_EQ(sub.original_ids.size(), 2u);
-  EXPECT_EQ(sub.original_ids[0], 0);
-  EXPECT_EQ(sub.original_ids[1], 1);
-}
-
-TEST(ExtractComponent, SingletonComponent) {
-  const std::vector<Edge> edges = {{0, 1}};
-  const Graph g = Graph::from_edges(3, edges);
-  const auto info = weakly_connected_components(g);
-  const auto sub = extract_component(g, info, info.component_of[2]);
-  EXPECT_EQ(sub.graph.num_vertices(), 1);
-  EXPECT_EQ(sub.graph.num_edges(), 0);
-  EXPECT_EQ(sub.original_ids[0], 2);
-}
-
 TEST(Components, SizesSumToVertexCount) {
   const std::vector<Edge> edges = {{0, 1}, {2, 3}, {4, 5}, {5, 6}, {8, 8}};
   const Graph g = Graph::from_edges(10, edges);

@@ -10,7 +10,6 @@
 #include "generator/dcsbm.hpp"
 #include "graph/io.hpp"
 #include "metrics/metrics.hpp"
-#include "sbp/mcmc_common.hpp"
 #include "sbp/sbp.hpp"
 #include "util/args.hpp"
 
@@ -99,14 +98,6 @@ TEST(BestOf, WorksWithEveryVariant) {
     // Best is no worse than either run's final state implies.
     EXPECT_GT(outcome.best.num_blocks, 0);
   }
-}
-
-TEST(ConvergenceWindow, WindowSizeIsConfigurable) {
-  sbp::ConvergenceWindow w(1e-3, 1);  // single-pass window
-  EXPECT_TRUE(w.record(0.0, 100.0));
-  sbp::ConvergenceWindow w5(1e-3, 5);
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(w5.record(0.0, 100.0));
-  EXPECT_TRUE(w5.record(0.0, 100.0));
 }
 
 TEST(MatrixMarketIo, SkewSymmetricMirrors) {

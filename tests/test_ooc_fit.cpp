@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
+#include "blockmodel/mdl.hpp"
 #include "generator/dcsbm.hpp"
 #include "graph/binary_csr.hpp"
 #include "graph/mmap_graph.hpp"
@@ -85,7 +86,8 @@ TEST(ChunkedBlockmodel, MatchesUnchunkedBuildExactly) {
       graph, assignment, 7, 64, [&releases] { ++releases; });
   EXPECT_GT(releases, 0);
   // Fixed-point sums are order-independent: equality is exact.
-  EXPECT_EQ(whole.log_likelihood(), chunked.log_likelihood());
+  EXPECT_EQ(blockmodel::log_likelihood(whole),
+            blockmodel::log_likelihood(chunked));
   for (blockmodel::BlockId b = 0; b < 7; ++b) {
     EXPECT_EQ(whole.degree_out(b), chunked.degree_out(b));
     EXPECT_EQ(whole.degree_in(b), chunked.degree_in(b));

@@ -46,21 +46,21 @@ std::vector<std::int32_t> scrambled(const generator::GeneratedGraph& g,
 }
 
 TEST(ConvergenceWindow, TriggersOnSmallDeltas) {
-  ConvergenceWindow w(1e-3, 3);
+  ConvergenceWindow w(1e-3);
   EXPECT_FALSE(w.record(0.0, 1000.0));
   EXPECT_FALSE(w.record(0.0, 1000.0));
   EXPECT_TRUE(w.record(0.0, 1000.0));  // window full, sum 0 < 1
 }
 
 TEST(ConvergenceWindow, DoesNotTriggerOnLargeDeltas) {
-  ConvergenceWindow w(1e-3, 3);
+  ConvergenceWindow w(1e-3);
   EXPECT_FALSE(w.record(-10.0, 1000.0));
   EXPECT_FALSE(w.record(-10.0, 1000.0));
   EXPECT_FALSE(w.record(-10.0, 1000.0));  // sum 30 > 1
 }
 
 TEST(ConvergenceWindow, SlidesOverOldDeltas) {
-  ConvergenceWindow w(1e-3, 3);
+  ConvergenceWindow w(1e-3);
   w.record(-100.0, 1000.0);
   w.record(0.0, 1000.0);
   EXPECT_FALSE(w.record(0.0, 1000.0));  // 100 still in window
